@@ -26,7 +26,7 @@
 ///
 /// Extra flags (beyond the shared analysis/telemetry set):
 ///   --programs=N          corpus size                 (default 120)
-///   --server-threads=N    server worker-slot budget   (default 4)
+///   --server-threads=N    server request-pool workers (default 4)
 ///   --cache-max-bytes=N   server cache-tree cap
 ///                         (default 8192 per program: tight enough that
 ///                         the fattest documents overflow it and the

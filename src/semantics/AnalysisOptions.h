@@ -30,15 +30,16 @@
 
 namespace syntox {
 
+/// Instance count at which the Analyzer turns the transfer cache on when
+/// the caller did not pin it (see AnalysisOptions::TransferCacheSet).
+inline constexpr unsigned AdaptiveCacheInstanceThreshold = 10;
+
 struct AnalysisOptions {
   /// Chaotic iteration strategy for every phase.
   IterationStrategy Strategy = IterationStrategy::Recursive;
   /// The abstract value domain the whole pipeline runs in
   /// (--domain=interval|congruence|product).
   DomainKind Domain = DomainKind::Interval;
-  /// Worker threads for the parallel strategy (0 = one per hardware
-  /// thread). Ignored by the serial strategies.
-  unsigned NumThreads = 0;
   /// Memoize the per-edge transfer functions across all phases (the
   /// cache is purely memoizing: results are identical either way).
   /// Off by default: interval transfers are about as cheap as the
@@ -54,9 +55,6 @@ struct AnalysisOptions {
   /// (McCarthy's 11-instance unfolding gains 1.11-1.25x; small loop
   /// chains lose 0.66-0.79x).
   bool TransferCacheSet = false;
-  /// Instance count at which the adaptive heuristic turns the transfer
-  /// cache on (only when TransferCacheSet is false).
-  unsigned AdaptiveCacheInstanceThreshold = 10;
   /// Narrowing passes after each ascending phase.
   unsigned NarrowingPasses = 1;
   /// Rounds of (always, eventually, forward) refinement after the
@@ -100,6 +98,9 @@ struct AnalysisOptions {
   /// Optional trace/metrics sinks (borrowed; owned by the session or
   /// the caller). Null members disable that half of the telemetry.
   Telemetry Telem;
+
+  /// Field-wise equality; the session's engine-reuse gate.
+  bool operator==(const AnalysisOptions &) const = default;
 
   /// Hash of every knob that changes the *values* the solver computes
   /// (as opposed to how fast it computes them). Two runs with equal
@@ -154,17 +155,9 @@ struct AnalysisOptions {
     Domain = K;
     return *this;
   }
-  AnalysisOptions &threads(unsigned N) {
-    NumThreads = N;
-    return *this;
-  }
   AnalysisOptions &transferCache(bool On) {
     UseTransferCache = On;
     TransferCacheSet = true;
-    return *this;
-  }
-  AnalysisOptions &adaptiveCacheThreshold(unsigned N) {
-    AdaptiveCacheInstanceThreshold = N;
     return *this;
   }
   AnalysisOptions &cacheDir(std::string Dir) {

@@ -7,7 +7,6 @@
 #include "support/Diagnostics.h"
 #include "support/ThreadPool.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <thread>
 #include <unistd.h>
@@ -30,49 +29,6 @@ uint64_t fpString(const std::string &S) {
   return H;
 }
 
-/// Canonical rendering of every option member a request can set (plus
-/// the derived cache shard) — the re-runnable identity half of a
-/// parked-session key.
-std::string renderOptions(const AnalysisOptions &O) {
-  std::string S;
-  S += std::to_string(static_cast<int>(O.Strategy));
-  S += '|';
-  S += std::to_string(O.NumThreads);
-  S += '|';
-  S += O.TransferCacheSet ? (O.UseTransferCache ? '1' : '0') : '-';
-  S += '|';
-  S += std::to_string(O.AdaptiveCacheInstanceThreshold);
-  S += '|';
-  S += std::to_string(O.NarrowingPasses);
-  S += '|';
-  S += std::to_string(O.BackwardRounds);
-  S += '|';
-  S += O.TerminationGoal ? '1' : '0';
-  S += O.UseBackward ? '1' : '0';
-  S += O.HarrisonGfp ? '1' : '0';
-  S += O.ContextInsensitive ? '1' : '0';
-  S += O.WarmStart ? '1' : '0';
-  S += '|';
-  for (int64_t T : O.WideningThresholds) {
-    S += std::to_string(T);
-    S += ',';
-  }
-  S += '|';
-  S += O.CacheDir;
-  return S;
-}
-
-std::string sessionKey(const std::string &Source,
-                       const AnalysisOptions &Opts) {
-  // Hash the (potentially large) source, keep the options readable;
-  // collisions would only ever swap two sessions, never findings —
-  // the session re-runs whatever program it actually holds.
-  char Buf[32];
-  std::snprintf(Buf, sizeof(Buf), "%016llx:",
-                static_cast<unsigned long long>(fpString(Source)));
-  return Buf + renderOptions(Opts);
-}
-
 } // namespace
 
 /// One admitted analyze request, shared between the read loop and the
@@ -82,13 +38,16 @@ struct Server::Pending {
   Clock::time_point Enqueued;
 };
 
-Server::Server(ServerConfig Cfg) : Cfg(std::move(Cfg)) {}
+Server::Server(ServerConfig Cfg)
+    : Cfg(std::move(Cfg)),
+      Pool(std::make_unique<ThreadPool>(this->Cfg.TotalThreads)) {}
 Server::~Server() = default;
 
-std::unique_ptr<AnalysisSession> Server::takeSession(const std::string &Key) {
+std::unique_ptr<AnalysisSession>
+Server::takeSession(uint64_t SourceHash, const AnalysisOptions &Opts) {
   std::lock_guard<std::mutex> Lock(SessionMutex);
   for (auto It = Parked.begin(); It != Parked.end(); ++It)
-    if (It->Key == Key) {
+    if (It->SourceHash == SourceHash && It->Opts == Opts) {
       std::unique_ptr<AnalysisSession> S = std::move(It->Session);
       Parked.erase(It);
       Metrics.counter("serve.session_hits").inc();
@@ -98,12 +57,13 @@ std::unique_ptr<AnalysisSession> Server::takeSession(const std::string &Key) {
   return nullptr;
 }
 
-void Server::parkSession(std::string Key,
+void Server::parkSession(uint64_t SourceHash, AnalysisOptions Opts,
                          std::unique_ptr<AnalysisSession> Session) {
   if (Cfg.SessionCapacity == 0)
     return;
   std::lock_guard<std::mutex> Lock(SessionMutex);
-  Parked.push_front(ParkedSession{std::move(Key), std::move(Session)});
+  Parked.push_front(
+      ParkedSession{SourceHash, std::move(Opts), std::move(Session)});
   while (Parked.size() > Cfg.SessionCapacity) {
     Parked.pop_back();
     Metrics.counter("serve.session_evictions").inc();
@@ -177,8 +137,8 @@ void Server::runAnalyze(std::shared_ptr<Pending> P, int OutFd) {
     Opts.CacheDir.clear();
   }
 
-  std::string Key = sessionKey(R.Source, Opts);
-  std::unique_ptr<AnalysisSession> Session = takeSession(Key);
+  uint64_t SourceHash = fpString(R.Source);
+  std::unique_ptr<AnalysisSession> Session = takeSession(SourceHash, Opts);
   if (!Session) {
     DiagnosticsEngine Diags;
     Session = AnalysisSession::create(R.Source, Diags, Opts);
@@ -192,31 +152,38 @@ void Server::runAnalyze(std::shared_ptr<Pending> P, int OutFd) {
     }
   }
 
-  AnalysisOutcome O = runRequest(*Session, R.Query);
-  double RunMs = msSince(Picked, Clock::now());
-  Metrics.histogram("serve.run_ms").observe(RunMs);
-
-  json::Value Resp = makeEnvelope(R.Id, R.Kind, O.OK ? "ok" : "error");
-  if (!O.OK) {
-    Metrics.counter("serve.errors").inc();
-    Resp.set("error", O.Error);
-  } else if (O.Demand) {
-    Resp.set("demand", O.findingsJson());
-  } else {
-    Resp.set("findings", O.findingsJson());
+  json::Value Resp;
+  bool OK;
+  {
+    // The outcome's results share the session's engine; they must be
+    // gone before the session is parked, or a resubmission picking it
+    // up at once would find the engine still shared and rebuild it.
+    AnalysisOutcome O = runRequest(*Session, R.Query);
+    OK = O.OK;
+    double RunMs = msSince(Picked, Clock::now());
+    Metrics.histogram("serve.run_ms").observe(RunMs);
+    Resp = makeEnvelope(R.Id, R.Kind, OK ? "ok" : "error");
+    if (!OK) {
+      Metrics.counter("serve.errors").inc();
+      Resp.set("error", O.Error);
+    } else if (O.Demand) {
+      Resp.set("demand", O.findingsJson());
+    } else {
+      Resp.set("findings", O.findingsJson());
+    }
+    setTiming(Resp, QueueMs, RunMs);
   }
-  setTiming(Resp, QueueMs, RunMs);
 
-  if (O.OK)
-    parkSession(std::move(Key), std::move(Session));
-  if (O.OK && !Opts.CacheDir.empty() && Cfg.CacheMaxBytes)
+  bool Saved = OK && !Opts.CacheDir.empty();
+  if (OK)
+    parkSession(SourceHash, std::move(Opts), std::move(Session));
+  if (Saved && Cfg.CacheMaxBytes)
     gcPayload(); // hold the tree under its cap after every save
 
   writeLine(OutFd, Resp);
 }
 
-void Server::handleLine(const std::string &Line, ThreadPool &Pool,
-                        int OutFd) {
+void Server::handleLine(const std::string &Line, int OutFd) {
   ServeRequest R;
   std::string Error;
   if (!parseServeRequest(Line, Cfg.Defaults, R, Error)) {
@@ -234,7 +201,7 @@ void Server::handleLine(const std::string &Line, ThreadPool &Pool,
     auto P = std::make_shared<Pending>();
     P->R = std::move(R);
     P->Enqueued = Clock::now();
-    Pool.submit([this, P, OutFd] { runAnalyze(P, OutFd); });
+    Pool->submit([this, P, OutFd] { runAnalyze(P, OutFd); });
     return;
   }
   case RequestKind::Gc: {
@@ -269,45 +236,24 @@ void Server::handleLine(const std::string &Line, ThreadPool &Pool,
 }
 
 bool Server::serve(int InFd, int OutFd) {
-  ThreadBudget Budget(Cfg.TotalThreads);
-  unsigned Workers = Budget.total();
-  if (Cfg.MaxConcurrentRequests)
-    Workers = std::min(Workers, Cfg.MaxConcurrentRequests);
-  {
-    // Identical to the AnalysisBatch admission scheme: the request pool
-    // draws from the budget, its workers inherit it, nested parallel
-    // solvers borrow what the request pool left over.
-    ThreadBudget::Scope Scope(Budget);
-    ThreadPool Pool(Workers);
-    ActiveBudget.store(&Budget, std::memory_order_release);
-    LineReader Reader(InFd);
-    std::string Line;
-    while (!draining()) {
-      LineReader::Status S = Reader.next(Line, /*TimeoutMs=*/100);
-      if (S == LineReader::Status::Eof)
-        break;
-      if (S == LineReader::Status::Idle)
-        continue;
-      if (Line.empty())
-        continue;
-      handleLine(Line, Pool, OutFd);
-    }
-    // Graceful drain: every admitted request completes and responds
-    // before the pool (and with it this connection's serving) winds
-    // down.
-    Pool.wait();
-    ActiveBudget.store(nullptr, std::memory_order_release);
+  LineReader Reader(InFd);
+  std::string Line;
+  while (!draining()) {
+    LineReader::Status S = Reader.next(Line, /*TimeoutMs=*/100);
+    if (S == LineReader::Status::Eof)
+      break;
+    if (S == LineReader::Status::Idle)
+      continue;
+    if (Line.empty())
+      continue;
+    handleLine(Line, OutFd);
   }
-  unsigned Peak = std::max(PeakLive.load(std::memory_order_relaxed),
-                           Budget.peakLiveThreads());
-  PeakLive.store(Peak, std::memory_order_relaxed);
-  Metrics.gauge("serve.peak_live_threads").set(static_cast<int64_t>(Peak));
+  // Graceful drain: every admitted request completes and responds
+  // before this connection's serving winds down.
+  Pool->wait();
+  Metrics.gauge("serve.peak_live_threads")
+      .set(static_cast<int64_t>(peakLiveThreads()));
   return !ShutdownRequested.load(std::memory_order_relaxed);
 }
 
-unsigned Server::peakLiveThreads() const {
-  unsigned Peak = PeakLive.load(std::memory_order_relaxed);
-  if (ThreadBudget *B = ActiveBudget.load(std::memory_order_acquire))
-    Peak = std::max(Peak, B->peakLiveThreads());
-  return Peak;
-}
+unsigned Server::peakLiveThreads() const { return Pool->peakLiveThreads(); }

@@ -7,23 +7,21 @@
 ///
 /// \file
 /// The serving layer: a Server reads JSON-lines requests (see
-/// serve/Protocol.h) from a descriptor, schedules analyze requests over
-/// one shared worker-slot budget, and writes one response line per
+/// serve/Protocol.h) from a descriptor, schedules analyze requests on
+/// one request pool, and writes one response line per
 /// request. It is the third driver of the shared AnalysisRequest /
 /// AnalysisOutcome submission model, after the CLI and AnalysisBatch.
 ///
-/// Scheduling. Analyze requests run on a server-owned ThreadPool whose
-/// workers draw from a ThreadBudget of Config::TotalThreads slots —
-/// exactly the AnalysisBatch admission scheme, so a request whose
-/// options select the parallel strategy borrows *nested* solver workers
-/// from the same budget and the process never oversubscribes
-/// (peakLiveThreads() <= TotalThreads, regardless of traffic). Admin
-/// requests (gc, metrics, ping, shutdown) are answered inline on the
-/// reading thread, ahead of queued analyses.
+/// Scheduling. Analyze requests run on a server-owned ThreadPool of
+/// Config::TotalThreads workers — the AnalysisBatch scheme; each
+/// analysis runs single-threaded on its worker, so the process never
+/// oversubscribes (peakLiveThreads() <= TotalThreads, regardless of
+/// traffic). Admin requests (gc, metrics, ping, shutdown) are answered
+/// inline on the reading thread, ahead of queued analyses.
 ///
 /// Resource bounds.
 ///  - In-memory: completed sessions are parked in an LRU keyed by
-///    (source, effective options, cache shard), capacity
+///    (source, effective options — the cache shard among them), capacity
 ///    Config::SessionCapacity. A resubmitted identical request takes
 ///    the parked session and re-runs it — the engine-reuse path, which
 ///    replays unchanged work at zero live steps. Entries are *taken*
@@ -68,7 +66,6 @@
 
 namespace syntox {
 
-class ThreadBudget;
 class ThreadPool;
 
 namespace serve {
@@ -77,11 +74,8 @@ struct ServerConfig {
   /// Per-request analysis defaults; a request's "options" object
   /// overrides them member by member.
   AnalysisOptions Defaults;
-  /// Worker-slot budget shared by the request pool and nested parallel
-  /// solvers (0 = one slot per hardware thread).
+  /// Worker threads of the request pool (0 = one per hardware thread).
   unsigned TotalThreads = 0;
-  /// Cap on analyze requests in flight at once (0 = the whole budget).
-  unsigned MaxConcurrentRequests = 0;
   /// Default admission deadline per analyze request, in milliseconds
   /// (0 = none). A request's timeout_ms member overrides it.
   unsigned RequestTimeoutMs = 0;
@@ -120,28 +114,31 @@ public:
   /// The server-wide registry every request reports into.
   MetricsRegistry &metrics() { return Metrics; }
 
-  /// Largest number of budgeted pool threads ever live at once — the
-  /// oversubscription guard's observable (<= TotalThreads). Valid both
-  /// mid-serve and after serve() returns.
+  /// Largest number of pool threads ever live at once (<= TotalThreads).
+  /// Valid both mid-serve and after serve() returns.
   unsigned peakLiveThreads() const;
 
 private:
   struct Pending; // one admitted analyze request
 
-  void handleLine(const std::string &Line, ThreadPool &Pool, int OutFd);
+  void handleLine(const std::string &Line, int OutFd);
   void runAnalyze(std::shared_ptr<Pending> P, int OutFd);
   json::Value gcPayload();
   void writeLine(int OutFd, const json::Value &Response);
 
-  /// The parked-session cache (see file comment). Key is the exact
-  /// re-runnable identity: source text, effective options rendering,
-  /// cache shard.
+  /// The parked-session cache (see file comment). The key is the exact
+  /// re-runnable identity: a hash of the source text and the effective
+  /// options, compared field by field (the cache shard is one of them).
+  /// Sources compare by 64-bit fingerprint; only a fingerprint
+  /// collision could hand a request another program's session.
   struct ParkedSession {
-    std::string Key;
+    uint64_t SourceHash;
+    AnalysisOptions Opts;
     std::unique_ptr<AnalysisSession> Session;
   };
-  std::unique_ptr<AnalysisSession> takeSession(const std::string &Key);
-  void parkSession(std::string Key,
+  std::unique_ptr<AnalysisSession> takeSession(uint64_t SourceHash,
+                                               const AnalysisOptions &Opts);
+  void parkSession(uint64_t SourceHash, AnalysisOptions Opts,
                    std::unique_ptr<AnalysisSession> Session);
 
   ServerConfig Cfg;
@@ -152,11 +149,9 @@ private:
   std::mutex SessionMutex; ///< guards Parked
   std::mutex GcMutex;      ///< one collection at a time
   std::list<ParkedSession> Parked; ///< front = most recently used
-  std::atomic<unsigned> PeakLive{0};
-  /// The budget of the connection currently being served, so
-  /// peakLiveThreads() sees live traffic, not just finished
-  /// connections.
-  std::atomic<ThreadBudget *> ActiveBudget{nullptr};
+  /// The request pool, shared by every connection. Declared last so it
+  /// is joined before the state its jobs touch is destroyed.
+  std::unique_ptr<ThreadPool> Pool;
 };
 
 } // namespace serve

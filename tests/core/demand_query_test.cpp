@@ -36,14 +36,8 @@ using namespace syntox::test;
 namespace {
 
 IterationStrategy strategyFor(uint64_t Seed) {
-  switch (Seed % 3) {
-  case 0:
-    return IterationStrategy::Recursive;
-  case 1:
-    return IterationStrategy::Worklist;
-  default:
-    return IterationStrategy::Parallel;
-  }
+  return Seed % 2 ? IterationStrategy::Worklist
+                  : IterationStrategy::Recursive;
 }
 
 /// Every cone must be closed under graph predecessors: that closure is
@@ -219,7 +213,6 @@ TEST(DemandQueryTest, TwoHundredSeedsDemandEqualsFull) {
     AnalysisOptions Opts =
         withOptions()
             .strategy(S)
-            .threads(S == IterationStrategy::Parallel ? 4 : 0)
             .backwardRounds(2);
 
     AnalyzedProgram P = analyzeProgram(Source, Opts);

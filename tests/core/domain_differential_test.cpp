@@ -39,14 +39,8 @@ using namespace syntox::test;
 namespace {
 
 IterationStrategy strategyFor(uint64_t Seed) {
-  switch (Seed % 3) {
-  case 0:
-    return IterationStrategy::Recursive;
-  case 1:
-    return IterationStrategy::Worklist;
-  default:
-    return IterationStrategy::Parallel;
-  }
+  return Seed % 2 ? IterationStrategy::Worklist
+                  : IterationStrategy::Recursive;
 }
 
 bool discharged(CheckVerdict V) {
@@ -108,8 +102,7 @@ TEST(DomainDifferentialTest, ProductRefinesIntervalOnTwoHundredSeeds) {
     std::string Source = Gen.generate();
     SCOPED_TRACE("seed " + std::to_string(Seed) + "\n" + Source);
     IterationStrategy S = strategyFor(Seed);
-    AnalysisOptions Base = withOptions().strategy(S).threads(
-        S == IterationStrategy::Parallel ? 4 : 0);
+    AnalysisOptions Base = withOptions().strategy(S);
 
     auto P = analyzeProgram(Source, derive(Base).domain(DomainKind::Interval));
     ASSERT_TRUE(P.FE.SemaOk);
@@ -204,13 +197,11 @@ TEST(DomainDifferentialTest, StrategiesAgreeBitwisePerDomain) {
       json::Value Reference;
       bool HaveReference = false;
       for (IterationStrategy S :
-           {IterationStrategy::Recursive, IterationStrategy::Worklist,
-            IterationStrategy::Parallel}) {
+           {IterationStrategy::Recursive, IterationStrategy::Worklist}) {
         DiagnosticsEngine Diags;
         auto Session = AnalysisSession::create(
             Source, Diags,
-            withOptions().domain(DK).strategy(S).threads(
-                S == IterationStrategy::Parallel ? 4 : 0));
+            withOptions().domain(DK).strategy(S));
         ASSERT_NE(Session, nullptr) << Diags.str();
         AnalysisResult R = Session->run();
         json::Value Doc = semanticFindings(R);

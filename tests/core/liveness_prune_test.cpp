@@ -36,14 +36,8 @@ using namespace syntox::test;
 namespace {
 
 IterationStrategy strategyFor(uint64_t Seed) {
-  switch (Seed % 3) {
-  case 0:
-    return IterationStrategy::Recursive;
-  case 1:
-    return IterationStrategy::Worklist;
-  default:
-    return IterationStrategy::Parallel;
-  }
+  return Seed % 2 ? IterationStrategy::Worklist
+                  : IterationStrategy::Recursive;
 }
 
 /// The findings document minus the work counters (`stats`, `metrics`):
@@ -153,8 +147,7 @@ TEST(LivenessPruneTest, TwoHundredSeedsLiveStatesMatchUnpruned) {
     SCOPED_TRACE("seed " + std::to_string(Seed) + "\n" + Source);
     IterationStrategy S = strategyFor(Seed);
     AnalysisOptions Base =
-        withOptions().terminationGoal().strategy(S).threads(
-            S == IterationStrategy::Parallel ? 4 : 0);
+        withOptions().terminationGoal().strategy(S);
 
     auto Pruned = analyzeProgram(Source, derive(Base).prune(true));
     ASSERT_TRUE(Pruned.FE.SemaOk);
@@ -201,11 +194,9 @@ TEST(LivenessPruneTest, FindingsIdenticalOnPaperPrograms) {
   for (const char *Source : Programs) {
     SCOPED_TRACE(Source);
     for (IterationStrategy S :
-         {IterationStrategy::Recursive, IterationStrategy::Worklist,
-          IterationStrategy::Parallel})
+         {IterationStrategy::Recursive, IterationStrategy::Worklist})
       expectPrunedMatchesFull(
-          Source, withOptions().terminationGoal().strategy(S).threads(
-                      S == IterationStrategy::Parallel ? 4 : 0));
+          Source, withOptions().terminationGoal().strategy(S));
   }
 }
 
@@ -218,8 +209,7 @@ TEST(LivenessPruneTest, FindingsIdenticalOnRandomPrograms) {
     SCOPED_TRACE("seed " + std::to_string(Seed) + "\n" + Source);
     IterationStrategy S = strategyFor(Seed);
     expectPrunedMatchesFull(
-        Source, withOptions().terminationGoal().strategy(S).threads(
-                    S == IterationStrategy::Parallel ? 4 : 0));
+        Source, withOptions().terminationGoal().strategy(S));
   }
 }
 

@@ -7,7 +7,10 @@
 // cold run, and a truncated, corrupted, version-skewed or
 // options-skewed cache file falls back to a cold solve with — again —
 // identical findings. The fuzzed battery pins the save/load round trip
-// on 200 random programs across the three iteration strategies.
+// on 200 random programs across both iteration strategies. Caches saved
+// by earlier builds must keep loading: the options hashes that name and
+// guard the cache files are pinned, and a checked-in cache file must
+// replay.
 //
 //===----------------------------------------------------------------------===//
 
@@ -310,12 +313,10 @@ TEST(PersistCacheTest, PaperProgramsRoundTripAllStrategies) {
   for (const char *Source : Programs) {
     SCOPED_TRACE(Source);
     for (IterationStrategy S :
-         {IterationStrategy::Recursive, IterationStrategy::Worklist,
-          IterationStrategy::Parallel}) {
+         {IterationStrategy::Recursive, IterationStrategy::Worklist}) {
       ScratchDir Dir("paper" + std::to_string(Idx++));
       AnalysisOptions Opts =
-          withOptions().terminationGoal().strategy(S).threads(
-              S == IterationStrategy::Parallel ? 4 : 0);
+          withOptions().terminationGoal().strategy(S);
       RunOutcome Cold = runOnce(Source, Dir.str(), Opts);
       RunOutcome Warm = runOnce(Source, Dir.str(), Opts);
       ASSERT_TRUE(Cold.Ok && Warm.Ok);
@@ -334,12 +335,10 @@ TEST(PersistCacheTest, FuzzedRoundTripIdenticalFindings) {
     ProgramGenerator Gen(Seed * 12289);
     std::string Source = Gen.generate();
     SCOPED_TRACE("seed " + std::to_string(Seed) + "\n" + Source);
-    IterationStrategy S = Seed % 3 == 0   ? IterationStrategy::Recursive
-                          : Seed % 3 == 1 ? IterationStrategy::Worklist
-                                          : IterationStrategy::Parallel;
+    IterationStrategy S = Seed % 2 ? IterationStrategy::Worklist
+                                   : IterationStrategy::Recursive;
     AnalysisOptions Opts =
-        withOptions().terminationGoal().strategy(S).threads(
-            S == IterationStrategy::Parallel ? 4 : 0);
+        withOptions().terminationGoal().strategy(S);
 
     ScratchDir Dir("fuzz");
     RunOutcome Cold = runOnce(Source, Dir.str(), Opts);
@@ -354,6 +353,33 @@ TEST(PersistCacheTest, FuzzedRoundTripIdenticalFindings) {
     TotalReplayedRuns += Warm.LiveSteps == 0;
   }
   EXPECT_EQ(TotalReplayedRuns, 200u);
+}
+
+TEST(PersistCacheTest, OptionsHashesArePinned) {
+  // The options hash names every cache file and guards its header: a
+  // change silently turns every existing cache cold.
+  EXPECT_EQ(AnalysisOptions().optionsHash(), 0x04e3292583958ff9ull);
+  EXPECT_EQ(
+      AnalysisOptions().strategy(IterationStrategy::Worklist).optionsHash(),
+      0xefa79604be08a9f6ull);
+  EXPECT_EQ(withOptions().terminationGoal().optionsHash(),
+            0xa5c62c3c4ba0e146ull);
+}
+
+TEST(PersistCacheTest, CacheSavedByAnEarlierBuildStillLoads) {
+  // tests/core/data holds the cache an earlier build saved for
+  // TwoProcProgram under withOptions().terminationGoal(): it must replay
+  // the whole chain, not fall back to a cold solve.
+  ScratchDir Dir("compat");
+  fs::copy(fs::path(SYNTOX_TEST_DATA_DIR) / "syntox-a5c62c3c4ba0e146.warm",
+           Dir.Dir);
+  RunOutcome Cold = runOnce(TwoProcProgram, "");
+  RunOutcome Warm = runOnce(TwoProcProgram, Dir.str());
+  ASSERT_TRUE(Cold.Ok && Warm.Ok);
+  EXPECT_EQ(Warm.Loaded, 1u);
+  EXPECT_EQ(Warm.Fallback, 0u);
+  EXPECT_EQ(Warm.LiveSteps, 0u);
+  EXPECT_TRUE(Warm.Findings == Cold.Findings);
 }
 
 } // namespace

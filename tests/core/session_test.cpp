@@ -219,8 +219,7 @@ TEST(AnalysisSessionTest, TraceJsonLinesGolden) {
   EXPECT_TRUE(OS2.str().empty());
 }
 
-/// K independent heavy loop nests behind a branch tree: the parallel
-/// strategy schedules them as separate tasks.
+/// K independent heavy loop nests behind a branch tree.
 std::string wideProgram(unsigned Leaves) {
   std::string Out = "program gen;\nvar c : integer;\n";
   for (unsigned I = 0; I < Leaves; ++I)
@@ -242,10 +241,8 @@ std::string wideProgram(unsigned Leaves) {
   return Out;
 }
 
-TEST(AnalysisSessionTest, ChromeTraceOfParallelRunShowsTaskSpans) {
-  auto Session = makeSession(
-      wideProgram(4),
-      AnalysisOptions().strategy(IterationStrategy::Parallel).threads(4));
+TEST(AnalysisSessionTest, ChromeTraceSpansBalance) {
+  auto Session = makeSession(wideProgram(4), AnalysisOptions());
   ASSERT_NE(Session, nullptr);
   Session->enableTracing();
   Session->run();
@@ -260,10 +257,10 @@ TEST(AnalysisSessionTest, ChromeTraceOfParallelRunShowsTaskSpans) {
   const json::Value *Events = Doc->find("traceEvents");
   ASSERT_TRUE(Events && Events->isArray());
 
-  // Spans balance per thread; component spans exist on worker threads.
+  // Spans balance per thread; every loop nest shows up as a component
+  // span.
   std::map<int64_t, int> DepthPerTid;
-  std::set<int64_t> ComponentTids;
-  unsigned TaskSpans = 0;
+  unsigned ComponentSpans = 0;
   for (const json::Value &E : Events->elements()) {
     const std::string &Ph = E.find("ph")->asString();
     int64_t Tid = E.find("tid")->asInt();
@@ -271,9 +268,7 @@ TEST(AnalysisSessionTest, ChromeTraceOfParallelRunShowsTaskSpans) {
     if (Ph == "B") {
       ++DepthPerTid[Tid];
       if (Kind == "component_begin")
-        ComponentTids.insert(Tid);
-      if (Kind == "task_run")
-        ++TaskSpans;
+        ++ComponentSpans;
     } else if (Ph == "E") {
       --DepthPerTid[Tid];
       EXPECT_GE(DepthPerTid[Tid], 0);
@@ -281,9 +276,7 @@ TEST(AnalysisSessionTest, ChromeTraceOfParallelRunShowsTaskSpans) {
   }
   for (const auto &[Tid, Depth] : DepthPerTid)
     EXPECT_EQ(Depth, 0) << "unbalanced spans on tid " << Tid;
-  EXPECT_GE(TaskSpans, 4u) << "one task_run span per independent component";
-  EXPECT_GE(ComponentTids.size(), 2u)
-      << "component stabilizations spread over worker threads";
+  EXPECT_GE(ComponentSpans, 8u) << "two loops per independent nest";
 }
 
 /// toJson() minus the stats/metrics counters (which legitimately differ
@@ -351,6 +344,29 @@ TEST(AnalysisSessionTest, OptionChangeForcesFreshEngine) {
   // reuse happened and the run paid a cold solve under the new knobs.
   EXPECT_EQ(Metrics.counterValue("session.engine_reuses"), 0u);
   EXPECT_GT(liveSteps(R), 0u);
+}
+
+TEST(AnalysisSessionTest, TurningPruningOffForcesFreshEngine) {
+  // i is dead at the exit: the pruned run flags it, and after
+  // prune(false) the session must not recycle the pruned engine.
+  const char *Source = "program p; var i : integer;\n"
+                       "begin i := 0; while i < 100 do i := i + 1 end.";
+  MetricsRegistry Metrics;
+  AnalysisOptions Opts;
+  Opts.Telem.Metrics = &Metrics;
+  auto Session = makeSession(Source, Opts);
+  ASSERT_NE(Session, nullptr);
+  auto prunedAtExit = [](const AnalysisResult &R) {
+    bool Pruned = false;
+    for (const PointState &S : R.mainStates("exit"))
+      Pruned |= !S.PrunedVars.empty();
+    return Pruned;
+  };
+  EXPECT_TRUE(prunedAtExit(Session->run()));
+  Session->options().prune(false);
+  AnalysisResult Full = Session->run();
+  EXPECT_EQ(Metrics.counterValue("session.engine_reuses"), 0u);
+  EXPECT_FALSE(prunedAtExit(Full));
 }
 
 } // namespace

@@ -6,9 +6,12 @@
 // cache would only lose hits — but the representation-independence of
 // the hash is what makes the hit rate useful), and the cache itself
 // never fabricates results across edges, directions or distinct stores.
+// End to end, the cache is purely memoizing: whole analyses come out
+// bit-identical with it on or off.
 //
 //===----------------------------------------------------------------------===//
 
+#include "frontend/PaperPrograms.h"
 #include "semantics/Transfer.h"
 
 #include "../common/AnalysisTestUtil.h"
@@ -141,8 +144,8 @@ TEST_F(TransferCacheTest, HitsAndMissesAreKeyedOnEdgeDirectionAndStore) {
 TEST_F(TransferCacheTest, EntryCapStopsInsertionNotCorrectness) {
   ExprSemantics Exprs(Ops);
   Transfer Xfer(Ops, Exprs, *A.Cfg);
-  // A tiny cache: at most one entry per shard.
-  TransferCache Cache(Ops, /*MaxEntries=*/0);
+  // A tiny cache: at most 64 entries.
+  TransferCache Cache(Ops, /*MaxEntries=*/64);
   FrameMap F;
   Action Nop = Action::nop();
   for (int I = 0; I < 500; ++I) {
@@ -151,8 +154,185 @@ TEST_F(TransferCacheTest, EntryCapStopsInsertionNotCorrectness) {
     AbstractStore R = *Cache.fwd(Xfer, 0, Nop, S, F);
     EXPECT_TRUE(Ops.equal(R, S)); // Nop is the identity
   }
-  // 64 shards x 1 entry: the cache stayed bounded.
-  EXPECT_LE(Cache.size(), 64u);
+  // It filled up and then stayed bounded.
+  EXPECT_EQ(Cache.size(), 64u);
+  EXPECT_EQ(Cache.misses(), 500u);
+}
+
+TEST_F(TransferCacheTest, EntriesStoredBeforeTheCapKeepHitting) {
+  ExprSemantics Exprs(Ops);
+  Transfer Xfer(Ops, Exprs, *A.Cfg);
+  TransferCache Cache(Ops, /*MaxEntries=*/8);
+  FrameMap F;
+  Action Nop = Action::nop();
+  auto StoreFor = [&](int I) {
+    AbstractStore S = AbstractStore::top();
+    Ops.assign(S, X, AbsValue(Interval(I, I + 1)));
+    return S;
+  };
+  for (int I = 0; I < 20; ++I)
+    Cache.fwd(Xfer, 0, Nop, StoreFor(I), F);
+  EXPECT_EQ(Cache.size(), 8u);
+  EXPECT_EQ(Cache.misses(), 20u);
+  // The first eight stores were memoized; everything after was computed
+  // into the overflow slot and forgotten.
+  for (int I = 0; I < 8; ++I)
+    Cache.fwd(Xfer, 0, Nop, StoreFor(I), F);
+  EXPECT_EQ(Cache.hits(), 8u);
+  for (int I = 8; I < 20; ++I)
+    Cache.fwd(Xfer, 0, Nop, StoreFor(I), F);
+  EXPECT_EQ(Cache.misses(), 32u);
+  EXPECT_EQ(Cache.size(), 8u);
+}
+
+TEST_F(TransferCacheTest, OverflowResultIsTheTransferOfItsOwnInput) {
+  // On a full cache the result lives in one overflow slot that the next
+  // overflowing lookup reuses; each returned pointee must still be the
+  // transfer of the store it was asked about.
+  ExprSemantics Exprs(Ops);
+  Transfer Xfer(Ops, Exprs, *A.Cfg);
+  TransferCache Cache(Ops, /*MaxEntries=*/1);
+  FrameMap F;
+  Action Nop = Action::nop();
+  AbstractStore First = AbstractStore::top();
+  Ops.assign(First, X, AbsValue(Interval(0, 0)));
+  Cache.fwd(Xfer, 0, Nop, First, F);
+  for (int I = 1; I < 6; ++I) {
+    AbstractStore S = AbstractStore::top();
+    Ops.assign(S, X, AbsValue(Interval(I, 2 * I)));
+    const AbstractStore *R = Cache.fwd(Xfer, 0, Nop, S, F);
+    EXPECT_TRUE(Ops.equal(*R, S)) << "overflow lookup " << I;
+    // The resident entry is unaffected by the overflow traffic.
+    const AbstractStore *Resident = Cache.fwd(Xfer, 0, Nop, First, F);
+    EXPECT_TRUE(Ops.equal(*Resident, First));
+  }
+  EXPECT_EQ(Cache.size(), 1u);
+  EXPECT_EQ(Cache.hits(), 5u);
+  EXPECT_EQ(Cache.misses(), 6u);
+}
+
+TEST_F(TransferCacheTest, ResultPointersSurviveLaterInsertions) {
+  // Results are owned on the heap, so a pointer handed out for one entry
+  // stays valid while thousands of later entries grow the buckets.
+  ExprSemantics Exprs(Ops);
+  Transfer Xfer(Ops, Exprs, *A.Cfg);
+  TransferCache Cache(Ops);
+  FrameMap F;
+  Action Nop = Action::nop();
+  AbstractStore S = AbstractStore::top();
+  Ops.assign(S, X, AbsValue(Interval(-3, 3)));
+  const AbstractStore *Early = Cache.fwd(Xfer, 7, Nop, S, F);
+  for (int I = 0; I < 4000; ++I) {
+    AbstractStore T = AbstractStore::top();
+    Ops.assign(T, Y, AbsValue(Interval(I, I)));
+    Cache.fwd(Xfer, static_cast<unsigned>(I % 5), Nop, T, F);
+  }
+  EXPECT_EQ(Cache.size(), 4001u);
+  EXPECT_TRUE(Ops.equal(*Early, S));
+  // And a re-lookup returns that very entry.
+  EXPECT_EQ(Cache.fwd(Xfer, 7, Nop, S, F), Early);
+}
+
+TEST_F(TransferCacheTest, ManyDistinctEntriesAllHitOnReplay) {
+  // Far more entries than buckets: every bucket chain has to confirm by
+  // full equality, and a replay of the same lookups must hit every time.
+  ExprSemantics Exprs(Ops);
+  Transfer Xfer(Ops, Exprs, *A.Cfg);
+  TransferCache Cache(Ops);
+  FrameMap F;
+  Action Nop = Action::nop();
+  const int N = 20000;
+  auto Lookup = [&](int I) {
+    AbstractStore S = AbstractStore::top();
+    Ops.assign(S, X, AbsValue(Interval(I, I + 2)));
+    return Cache.fwd(Xfer, static_cast<unsigned>(I % 3), Nop, S, F);
+  };
+  for (int I = 0; I < N; ++I)
+    Lookup(I);
+  EXPECT_EQ(Cache.size(), static_cast<size_t>(N));
+  EXPECT_EQ(Cache.misses(), static_cast<uint64_t>(N));
+  for (int I = 0; I < N; ++I) {
+    const AbstractStore *R = Lookup(I);
+    ASSERT_TRUE(Ops.equal(*R, [&] {
+      AbstractStore S = AbstractStore::top();
+      Ops.assign(S, X, AbsValue(Interval(I, I + 2)));
+      return S;
+    }()));
+  }
+  EXPECT_EQ(Cache.hits(), static_cast<uint64_t>(N));
+  EXPECT_EQ(Cache.misses(), static_cast<uint64_t>(N));
+}
+
+TEST_F(TransferCacheTest, CachedTransfersEqualDirectTransfersOnEveryEdge) {
+  // Through the program's real actions (assignments, not just Nop), in
+  // both directions: a cold lookup, a warm lookup and the uncached
+  // transfer all agree.
+  ExprSemantics Exprs(Ops);
+  Transfer Xfer(Ops, Exprs, *A.Cfg);
+  TransferCache Cache(Ops);
+  FrameMap F;
+  const RoutineCfg *Cfg = A.Cfg->cfgFor(A.routine(""));
+  ASSERT_NE(Cfg, nullptr);
+  std::vector<AbstractStore> Stores;
+  Stores.push_back(AbstractStore::top());
+  for (int I = -2; I < 3; ++I) {
+    AbstractStore S = AbstractStore::top();
+    Ops.assign(S, X, AbsValue(Interval(I, I + 4)));
+    Ops.assign(S, Y, AbsValue(Interval(2 * I, 2)));
+    Stores.push_back(S);
+  }
+  unsigned EdgeId = 0;
+  for (const CfgEdge &E : Cfg->edges()) {
+    for (const AbstractStore &S : Stores) {
+      AbstractStore WantFwd = Xfer.fwd(E.Act, S, F);
+      AbstractStore WantBwd = Xfer.bwd(E.Act, S, F);
+      for (int Round = 0; Round < 2; ++Round) {
+        EXPECT_TRUE(Ops.equal(*Cache.fwd(Xfer, EdgeId, E.Act, S, F), WantFwd))
+            << "fwd edge " << EdgeId << " round " << Round;
+        EXPECT_TRUE(Ops.equal(*Cache.bwd(Xfer, EdgeId, E.Act, S, F), WantBwd))
+            << "bwd edge " << EdgeId << " round " << Round;
+      }
+    }
+    ++EdgeId;
+  }
+  ASSERT_GT(EdgeId, 0u);
+  EXPECT_EQ(Cache.hits(), Cache.misses());
+}
+
+//===----------------------------------------------------------------------===//
+// Whole analyses with the cache on and off.
+//===----------------------------------------------------------------------===//
+
+TEST_F(TransferCacheTest, CacheDoesNotChangeResultsOnPaperPrograms) {
+  for (const char *Source :
+       {paper::ForProgram, paper::ForProgram1ToN, paper::WhileProgram,
+        paper::FactProgram, paper::SelectProgram, paper::IntermittentProgram,
+        paper::McCarthyProgram, paper::McCarthyBuggy,
+        paper::BinarySearchProgram}) {
+    SCOPED_TRACE(Source);
+    auto Base = analyzeProgram(Source, withOptions().transferCache(false));
+    auto Cached = reanalyze(Base, withOptions().transferCache(true));
+    const StoreOps &BaseOps = Base.An->storeOps();
+    ASSERT_EQ(Base.An->graph().numNodes(), Cached->graph().numNodes());
+    for (unsigned Node = 0; Node < Base.An->graph().numNodes(); ++Node) {
+      EXPECT_TRUE(BaseOps.equal(Base.An->forwardAt(Node),
+                                Cached->forwardAt(Node)))
+          << "forward invariant differs at node " << Node;
+      EXPECT_TRUE(BaseOps.equal(Base.An->envelopeAt(Node),
+                                Cached->envelopeAt(Node)))
+          << "envelope differs at node " << Node;
+    }
+  }
+}
+
+TEST_F(TransferCacheTest, CacheHitsAccumulateAcrossPhases) {
+  // Later phases of the refinement chain revisit edges with stores
+  // already seen by earlier phases, so a multi-phase analysis must
+  // actually reuse cached transfers.
+  auto M = analyzeProgram(paper::McCarthyProgram,
+                          withOptions().transferCache(true));
+  EXPECT_GT(M.An->stats().CacheHits, 0u);
+  EXPECT_GT(M.An->stats().CacheMisses, 0u);
 }
 
 } // namespace

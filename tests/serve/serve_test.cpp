@@ -251,6 +251,44 @@ TEST(ServeProtocolTest, PerRequestOptionsOverrideDefaults) {
               sequentialFindings(Guarded, AnalysisOptions().backward(false)));
 }
 
+TEST(ServeProtocolTest, DomainOverrideNeverReusesAnotherDomainsSession) {
+  // The interval run parks its session; the product request on the same
+  // source must not pick it up.
+  ServeHarness H(ServerConfig{});
+  H.send(analyzeLine("itv", CountLoop,
+                     "\"options\":{\"domain\":\"interval\"}"));
+  json::Value Itv = H.recv();
+  ASSERT_EQ(Itv.find("status")->asString(), "ok");
+  H.send(analyzeLine("prod", CountLoop,
+                     "\"options\":{\"domain\":\"product\"}"));
+  json::Value Prod = H.recv();
+  ASSERT_EQ(Prod.find("status")->asString(), "ok");
+  const json::Value &F = *Prod.find("findings");
+  EXPECT_EQ(F.find("domain")->asString(), "product");
+  EXPECT_TRUE(findingsOnly(F) ==
+              sequentialFindings(CountLoop, AnalysisOptions().domain(
+                                                DomainKind::Product)));
+}
+
+TEST(ServeProtocolTest, RemovedParallelOptionsAreRejected) {
+  ServeHarness H(ServerConfig{});
+  const std::pair<const char *, const char *> Cases[] = {
+      {"\"options\":{\"strategy\":\"parallel\"}", "option 'strategy'"},
+      {"\"options\":{\"threads\":4}", "option 'threads'"},
+  };
+  for (const auto &[Extra, Needle] : Cases) {
+    H.send(analyzeLine("x", CountLoop, Extra));
+    json::Value R = H.recv();
+    EXPECT_EQ(R.find("status")->asString(), "error") << Extra;
+    EXPECT_NE(R.find("error")->asString().find(Needle), std::string::npos)
+        << Extra << " -> " << R.find("error")->asString();
+    EXPECT_FALSE(R.has("findings"));
+  }
+  // The connection stays open.
+  H.send(adminLine("alive", "ping"));
+  EXPECT_EQ(H.recv().find("status")->asString(), "ok");
+}
+
 TEST(ServeProtocolTest, MalformedRequestsAnswerErrorsAndServerSurvives) {
   ServeHarness H(ServerConfig{});
   struct Case {
@@ -439,7 +477,6 @@ TEST(ServeShutdownTest, ShutdownRequestStopsAfterDraining) {
 TEST(ServeTimeoutTest, ExpiredQueuedRequestsAreShedAtAdmission) {
   ServerConfig Cfg;
   Cfg.TotalThreads = 1;
-  Cfg.MaxConcurrentRequests = 1;
   Cfg.RequestTimeoutMs = 100;
   Cfg.TestStartDelayMs = 300; // the running request blocks the queue
   ServeHarness H(Cfg);

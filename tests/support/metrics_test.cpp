@@ -31,7 +31,7 @@ TEST(MetricsTest, LookupReturnsStableReference) {
 
 TEST(MetricsTest, GaugeSetAndAccumulateMax) {
   MetricsRegistry M;
-  Gauge &G = M.gauge("parallel.tasks");
+  Gauge &G = M.gauge("graph.instances");
   G.set(5);
   G.accumulateMax(3);
   EXPECT_EQ(G.value(), 5);

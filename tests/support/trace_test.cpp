@@ -63,7 +63,7 @@ TEST(TraceRecorderTest, DefaultMaskExcludesDetailKinds) {
   EXPECT_EQ(M & traceEventBit(TraceEventKind::StoreDetach), 0u);
   EXPECT_NE(M & traceEventBit(TraceEventKind::PhaseBegin), 0u);
   EXPECT_NE(M & traceEventBit(TraceEventKind::Widening), 0u);
-  EXPECT_NE(M & traceEventBit(TraceEventKind::TaskRun), 0u);
+  EXPECT_NE(M & traceEventBit(TraceEventKind::ComponentSkip), 0u);
   EXPECT_EQ(TraceRecorder::AllEvents, (1u << NumTraceEventKinds) - 1);
 }
 
@@ -195,7 +195,8 @@ TEST(TraceExportTest, EventKindNamesAreStable) {
                "component_begin");
   EXPECT_STREQ(traceEventKindName(TraceEventKind::Widening), "widening");
   EXPECT_STREQ(traceEventKindName(TraceEventKind::CacheHit), "cache_hit");
-  EXPECT_STREQ(traceEventKindName(TraceEventKind::TaskRun), "task_run");
+  EXPECT_STREQ(traceEventKindName(TraceEventKind::ComponentSkip),
+               "component_skip");
   EXPECT_STREQ(traceEventKindName(TraceEventKind::StoreDetach),
                "store_detach");
 }
