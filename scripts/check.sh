@@ -162,6 +162,12 @@ with open(f"{out}/metrics.json") as f:
 validate(metrics, findings_schema["properties"]["metrics"], "metrics.json")
 check(metrics["counters"].get("solver.ascending_steps", 0) > 0,
       "metrics.json: no solver work recorded")
+# for.pas unfolds to one instance. This run is traced, so it builds a
+# fresh engine instead of analyzing the one create() validated with;
+# only the engine that ran may report its construction.
+check(metrics["counters"].get("interproc.instances") == 1,
+      "metrics.json: interproc.instances != 1 (an engine that never ran "
+      "reported its construction)")
 
 print(f"telemetry smoke test OK ({n} trace events)")
 EOF

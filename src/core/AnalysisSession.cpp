@@ -8,6 +8,34 @@
 
 using namespace syntox;
 
+namespace {
+
+/// Routes store detaches to \p Trace for the lifetime of one run when
+/// detail tracing asked for them. Detaches happen inside a value type
+/// with no telemetry context, so they go through the process-global
+/// hook; the destructor clears it on every exit, exceptions included,
+/// so a worker thread never keeps pointing at a recorder its session
+/// may free.
+class StoreDetachScope {
+public:
+  explicit StoreDetachScope(TraceRecorder *Trace)
+      : Installed(Trace && Trace->wants(TraceEventKind::StoreDetach)) {
+    if (Installed)
+      trace::StoreDetachHook.store(Trace, std::memory_order_relaxed);
+  }
+  ~StoreDetachScope() {
+    if (Installed)
+      trace::StoreDetachHook.store(nullptr, std::memory_order_relaxed);
+  }
+  StoreDetachScope(const StoreDetachScope &) = delete;
+  StoreDetachScope &operator=(const StoreDetachScope &) = delete;
+
+private:
+  bool Installed;
+};
+
+} // namespace
+
 json::Value AnalysisResult::toJson() const {
   json::Value V = json::Value::object();
   V.set("domain",
@@ -65,15 +93,18 @@ json::Value DemandResult::toJson() const {
 std::unique_ptr<AnalysisSession>
 AnalysisSession::create(std::string Source, DiagnosticsEngine &Diags,
                         AnalysisOptions Opts) {
-  // Validate the program up front so run() cannot fail: frontend errors
-  // surface here, once, with diagnostics.
-  std::unique_ptr<AbstractDebugger> Probe =
-      AbstractDebugger::create(Source, Diags, Opts);
-  if (!Probe)
-    return nullptr;
   std::unique_ptr<AnalysisSession> S(new AnalysisSession());
-  S->Source = std::move(Source);
   S->Opts = std::move(Opts);
+  S->wireTelemetry();
+  // Validate the program up front so run() cannot fail: frontend errors
+  // surface here, once, with diagnostics. The engine built to validate
+  // is kept under the options run() will compare against, so the first
+  // run analyzes it instead of building another.
+  S->Engine = AbstractDebugger::create(Source, Diags, S->Opts);
+  if (!S->Engine)
+    return nullptr;
+  S->EngineOpts = S->Opts;
+  S->Source = std::move(Source);
   return S;
 }
 
@@ -90,8 +121,15 @@ void AnalysisSession::flushTrace(TraceSink &Sink) {
     Trace->flushTo(Sink);
 }
 
+void AnalysisSession::wireTelemetry() {
+  Opts.Telem.Trace = Trace.get();
+  if (!Opts.Telem.Metrics)
+    Opts.Telem.Metrics = &Metrics;
+}
+
 std::shared_ptr<AbstractDebugger> AnalysisSession::engineForRun(
     bool ForDemand) {
+  wireTelemetry();
   // Reuse requires: we kept an engine, nothing else can observe it (a
   // live AnalysisResult/DemandResult shares ownership), every option
   // field is unchanged (the semantic knobs change the computed values,
@@ -100,13 +138,16 @@ std::shared_ptr<AbstractDebugger> AnalysisSession::engineForRun(
   // and the run kinds compose — a full run must not recycle a demand
   // engine (the published chain only ever held a private demand
   // replay) and a demand run must not recycle a fully analyzed engine
-  // (analyzeDemand() refuses, to protect published results).
+  // (analyzeDemand() refuses, to protect published results). The
+  // engine create() validated with passes this gate unanalyzed; only
+  // an engine that already ran counts as a reuse.
   bool Reusable = Engine && Engine.use_count() == 1 &&
                   EngineOpts == Opts &&
                   (ForDemand ? !Engine->Analyzed : !Engine->DemandAnalyzed);
   if (Reusable) {
-    if (MetricsRegistry *M = Opts.Telem.Metrics)
-      M->counter("session.engine_reuses").inc();
+    if (Engine->Analyzed || Engine->DemandAnalyzed)
+      if (MetricsRegistry *M = Opts.Telem.Metrics)
+        M->counter("session.engine_reuses").inc();
     return Engine;
   }
   DiagnosticsEngine Diags;
@@ -150,63 +191,28 @@ void AnalysisSession::savePersistCache(const AbstractDebugger &Dbg) {
 }
 
 AnalysisResult AnalysisSession::run() {
-  Opts.Telem.Trace = Trace.get();
-  if (!Opts.Telem.Metrics)
-    Opts.Telem.Metrics = &Metrics;
-
-  // Store detaches happen inside a value type with no telemetry
-  // context; route them through the process-global hook for the
-  // duration of this run when detail tracing asked for them.
-  TraceRecorder *DetachHook =
-      Trace && Trace->wants(TraceEventKind::StoreDetach) ? Trace.get()
-                                                         : nullptr;
-  if (DetachHook)
-    trace::StoreDetachHook.store(DetachHook, std::memory_order_relaxed);
-
+  StoreDetachScope Detach(Trace.get());
   std::shared_ptr<AbstractDebugger> Dbg = engineForRun(/*ForDemand=*/false);
   loadPersistCache(*Dbg);
   Dbg->analyze();
   savePersistCache(*Dbg);
-
-  if (DetachHook)
-    trace::StoreDetachHook.store(nullptr, std::memory_order_relaxed);
-
   return AnalysisResult(std::move(Dbg), Metrics.snapshot());
 }
 
 DemandResult AnalysisSession::runDemandQuery(const DemandSpec &Spec) {
-  Opts.Telem.Trace = Trace.get();
-  if (!Opts.Telem.Metrics)
-    Opts.Telem.Metrics = &Metrics;
-
-  TraceRecorder *DetachHook =
-      Trace && Trace->wants(TraceEventKind::StoreDetach) ? Trace.get()
-                                                         : nullptr;
-  if (DetachHook)
-    trace::StoreDetachHook.store(DetachHook, std::memory_order_relaxed);
-
+  StoreDetachScope Detach(Trace.get());
   std::shared_ptr<AbstractDebugger> Dbg = engineForRun(/*ForDemand=*/true);
   // Demand runs compose with the on-disk cache exactly like full runs
   // (out-of-cone components replay from the loaded chain) but never
   // save: the cache must only ever hold full recordings.
   loadPersistCache(*Dbg);
+  Dbg->analyzeDemand(Spec);
   std::vector<PointState> States;
   CheckResult Check;
-  try {
-    Dbg->analyzeDemand(Spec);
-    if (Spec.K == DemandSpec::Kind::Point)
-      States = Dbg->demandStateAt(Spec.Loc);
-    else
-      Check = Dbg->demandCheck(Spec.CheckId);
-  } catch (...) {
-    if (DetachHook)
-      trace::StoreDetachHook.store(nullptr, std::memory_order_relaxed);
-    throw;
-  }
-
-  if (DetachHook)
-    trace::StoreDetachHook.store(nullptr, std::memory_order_relaxed);
-
+  if (Spec.K == DemandSpec::Kind::Point)
+    States = Dbg->demandStateAt(Spec.Loc);
+  else
+    Check = Dbg->demandCheck(Spec.CheckId);
   return DemandResult(std::move(Dbg), Spec, std::move(States), Check,
                       Metrics.snapshot());
 }

@@ -9,7 +9,9 @@
 /// The preferred entry point to the abstract debugger: an AnalysisSession
 /// holds a validated program plus the analysis configuration and the
 /// telemetry plumbing (an owned MetricsRegistry, an optional owned
-/// TraceRecorder); run() executes the full schedule and returns an
+/// TraceRecorder). create() validates the program by building its
+/// engine and keeps that engine for the first run, so a request pays
+/// for one engine build; run() executes the full schedule and returns an
 /// *immutable* AnalysisResult that owns every finding — necessary
 /// conditions, invariant warnings, check classifications, statistics, a
 /// metrics snapshot, and structured per-point state queries.
@@ -26,9 +28,12 @@
 /// after every full run, so the CLI, AnalysisBatch and syntox_serve all
 /// share one entry path — the engine itself knows nothing about disk.
 ///
-/// Engine reuse: run() keeps the analyzed engine and, when nothing
-/// observable holds a reference to it (no live AnalysisResult) and the
-/// configuration is unchanged, re-analyzes it in place — the in-memory
+/// Engine reuse: the first run analyzes the engine create() built,
+/// unless options() or enableTracing() changed the configuration in
+/// between, in which case it builds a fresh one. After that, run()
+/// keeps the analyzed engine and, when nothing observable holds a
+/// reference to it (no live AnalysisResult) and the configuration is
+/// unchanged, re-analyzes it in place — the in-memory
 /// warm-start chain then replays stable components at zero live steps,
 /// which is what makes resubmit-after-edit traffic cheap for a
 /// long-lived server. Results are bitwise-identical either way; only
@@ -190,8 +195,11 @@ private:
 /// A validated program plus configuration; factory of AnalysisResults.
 class AnalysisSession {
 public:
-  /// Parses and validates \p Source. Returns null (with diagnostics in
-  /// \p Diags) when the program has frontend errors.
+  /// Parses, validates and builds the engine the first run uses.
+  /// Returns null (with diagnostics in \p Diags) when the program has
+  /// frontend errors. Telemetry is wired before the build: metrics go
+  /// to Opts.Telem.Metrics, or to the session's own registry when that
+  /// is null.
   static std::unique_ptr<AnalysisSession>
   create(std::string Source, DiagnosticsEngine &Diags,
          AnalysisOptions Opts = {});
@@ -199,8 +207,11 @@ public:
   ~AnalysisSession();
 
   /// Enables event tracing for subsequent run() calls and returns the
-  /// recorder. Repeated calls replace the recorder (and drop any
-  /// unflushed events) only when \p Mask differs.
+  /// recorder. Engines capture the recorder at construction, so the
+  /// next run builds a fresh engine, whose construction events
+  /// (token_unfold) the trace then holds. Repeated calls replace the
+  /// recorder (and drop any unflushed events) only when \p Mask
+  /// differs.
   TraceRecorder &enableTracing(uint32_t Mask = TraceRecorder::DefaultEvents);
 
   /// The recorder installed by enableTracing, or null.
@@ -242,10 +253,16 @@ public:
 private:
   AnalysisSession() = default;
   DemandResult runDemandQuery(const DemandSpec &Spec);
-  /// The engine the next run will use: the kept one when it is
-  /// uniquely owned, compatible with the current options, and \p
-  /// ForDemand-admissible; a freshly created one otherwise. Bumps the
-  /// "session.engine_reuses" counter on reuse.
+  /// Points the options' telemetry at the session's recorder (null
+  /// before enableTracing()) and, unless the caller supplied one, at
+  /// the session's metrics registry.
+  void wireTelemetry();
+  /// The engine the next run will use, after wiring the telemetry: the
+  /// kept one when it is uniquely owned, compatible with the current
+  /// options, and \p ForDemand-admissible — which includes the
+  /// unanalyzed engine create() built; a freshly created one otherwise.
+  /// Bumps the "session.engine_reuses" counter only when the kept
+  /// engine has run before.
   std::shared_ptr<AbstractDebugger> engineForRun(bool ForDemand);
   /// One-time per-engine load of the persistent warm cache, with the
   /// persist.* telemetry counters. No-op without CacheDir/WarmStart.
@@ -258,7 +275,8 @@ private:
   AnalysisOptions Opts;
   MetricsRegistry Metrics;
   std::unique_ptr<TraceRecorder> Trace;
-  /// The engine of the last run, kept for warm reuse. A live
+  /// The engine of the last run (before the first run: the one
+  /// create() validated with), kept for reuse. A live
   /// AnalysisResult/DemandResult shares ownership, which is exactly
   /// the reuse gate: use_count() > 1 means someone can observe the
   /// engine, so the next run must not touch it.

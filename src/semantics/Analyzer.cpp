@@ -246,9 +246,6 @@ Analyzer::Analyzer(const ProgramCfg &Cfg, RoutineDecl *Program, Options Opts)
   if (this->Opts.UseTransferCache) {
     Cache = std::make_unique<TransferCache>(Ops);
     Cache->setTrace(this->Opts.Telem.Trace);
-    if (!this->Opts.TransferCacheSet)
-      if (MetricsRegistry *M = this->Opts.Telem.Metrics)
-        M->counter("cache.auto_enabled").inc();
   }
   if (this->Opts.WarmStart)
     Graph->enableTransferMemo();
@@ -585,6 +582,15 @@ void Analyzer::runDemand(const std::vector<unsigned> &QueryNodes) {
 
 void Analyzer::runImpl(const std::vector<std::vector<uint8_t>> *Masks) {
   auto Start = std::chrono::steady_clock::now();
+  // The construction counters are reported by the first run (no run
+  // has started while Stats holds no phase), so an engine that is
+  // built and then discarded unanalyzed reports nothing.
+  if (Stats.Phases.empty())
+    if (MetricsRegistry *M = Opts.Telem.Metrics) {
+      M->counter("interproc.instances").inc(Graph->instances().size());
+      if (Cache && !Opts.TransferCacheSet)
+        M->counter("cache.auto_enabled").inc();
+    }
   Stats = AnalysisStats();
   Stats.ControlPoints = Graph->numNodes();
   Stats.Equations = Graph->numNodes();

@@ -42,8 +42,6 @@ SuperGraph::SuperGraph(const ProgramCfg &Cfg, RoutineDecl *Program,
   discoverInstances(Program);
   buildEdges();
   Ids = std::make_unique<StableIds>(*this, Cfg, Program);
-  if (Telem.Metrics)
-    Telem.Metrics->counter("interproc.instances").inc(Instances.size());
 }
 
 unsigned SuperGraph::mainEntry() const {

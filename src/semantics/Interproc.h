@@ -152,7 +152,8 @@ public:
   /// \p ContextInsensitive merges every call site of a routine into one
   /// activation class (tokens keep only the alias partition).
   /// \p Telem optionally records a token_unfold event per created
-  /// instance and counts interproc.instances.
+  /// instance (the Analyzer counts interproc.instances on its first
+  /// run).
   SuperGraph(const ProgramCfg &Cfg, RoutineDecl *Program,
              const StoreOps &Ops, const ExprSemantics &Exprs,
              const Transfer &Xfer, bool ContextInsensitive = false,

@@ -13,6 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/AnalysisBatch.h"
+#include "frontend/PaperPrograms.h"
 
 #include "../common/RandomProgramGen.h"
 
@@ -190,6 +191,22 @@ TEST(AnalysisBatchTest, RepeatedRunAllIsStable) {
   ASSERT_TRUE(Second[0].OK);
   EXPECT_EQ(findingsOnly(*First[0].Result),
             findingsOnly(*Second[0].Result));
+}
+
+TEST(AnalysisBatchTest, ConstructionCountersCountOncePerRequest) {
+  // add() builds each request's engine to validate the program and
+  // runAll() analyzes that same engine, so the batch registry sees the
+  // construction of exactly one engine per request.
+  AnalysisBatch Batch;
+  Batch.add(paper::McCarthyProgram);
+  auto Outcomes = Batch.runAll();
+  ASSERT_EQ(Outcomes.size(), 1u);
+  ASSERT_TRUE(Outcomes[0].OK) << Outcomes[0].Error;
+  size_t Instances =
+      Outcomes[0].Result->analyzer().graph().instances().size();
+  EXPECT_GT(Instances, 1u);
+  EXPECT_EQ(Batch.metrics().counterValue("interproc.instances"), Instances);
+  EXPECT_EQ(Batch.metrics().counterValue("cache.auto_enabled"), 1u);
 }
 
 } // namespace

@@ -369,4 +369,86 @@ TEST(AnalysisSessionTest, TurningPruningOffForcesFreshEngine) {
   EXPECT_FALSE(prunedAtExit(Full));
 }
 
+size_t numInstances(const AnalysisResult &R) {
+  return R.analyzer().graph().instances().size();
+}
+
+TEST(AnalysisSessionTest, CallerRegistryCountsConstructionOnce) {
+  // create() builds the engine into the caller's registry and run()
+  // analyzes that same engine: construction is reported once, and the
+  // hand-off is not an engine reuse.
+  MetricsRegistry Metrics;
+  AnalysisOptions Opts;
+  Opts.Telem.Metrics = &Metrics;
+  auto Session = makeSession(paper::McCarthyProgram, Opts);
+  ASSERT_NE(Session, nullptr);
+  AnalysisResult R = Session->run();
+  EXPECT_GE(numInstances(R), AdaptiveCacheInstanceThreshold);
+  EXPECT_EQ(Metrics.counterValue("interproc.instances"), numInstances(R));
+  EXPECT_EQ(Metrics.counterValue("cache.auto_enabled"), 1u);
+  EXPECT_EQ(Metrics.counterValue("session.engine_reuses"), 0u);
+}
+
+TEST(AnalysisSessionTest, TracingAfterCreateRebuildsAndCountsOnce) {
+  // The recorder is captured at engine construction, so enabling it
+  // after create() makes the first run build a fresh, traced engine.
+  // The engine create() built never ran and reports nothing; the
+  // traced one records one token_unfold per activation class.
+  MetricsRegistry Metrics;
+  AnalysisOptions Opts;
+  Opts.Telem.Metrics = &Metrics;
+  auto Session = makeSession(paper::McCarthyProgram, Opts);
+  ASSERT_NE(Session, nullptr);
+  Session->enableTracing();
+  AnalysisResult R = Session->run();
+  EXPECT_EQ(Metrics.counterValue("interproc.instances"), numInstances(R));
+  EXPECT_EQ(Metrics.counterValue("cache.auto_enabled"), 1u);
+  EXPECT_EQ(Metrics.counterValue("session.engine_reuses"), 0u);
+
+  std::ostringstream OS;
+  StreamTraceSink Sink(OS, TraceFormat::JsonLines);
+  Session->flushTrace(Sink);
+  size_t Unfolds = 0;
+  std::istringstream In(OS.str());
+  std::string Line;
+  while (std::getline(In, Line)) {
+    std::optional<json::Value> V = json::parse(Line);
+    ASSERT_TRUE(V.has_value()) << Line;
+    Unfolds += V->find("ev")->asString() == "token_unfold";
+  }
+  EXPECT_EQ(Unfolds, numInstances(R));
+}
+
+TEST(AnalysisSessionTest, PruningOffBeforeFirstRunRebuildsAndCountsOnce) {
+  // prune(false) between create() and the first run: the engine
+  // create() built prunes, so the run must not analyze it.
+  const char *Source = "program p; var i : integer;\n"
+                       "begin i := 0; while i < 100 do i := i + 1 end.";
+  MetricsRegistry Metrics;
+  AnalysisOptions Opts;
+  Opts.Telem.Metrics = &Metrics;
+  auto Session = makeSession(Source, Opts);
+  ASSERT_NE(Session, nullptr);
+  Session->options().prune(false);
+  AnalysisResult R = Session->run();
+  for (const PointState &S : R.mainStates("exit"))
+    EXPECT_TRUE(S.PrunedVars.empty());
+  EXPECT_EQ(numInstances(R), 1u);
+  EXPECT_EQ(Metrics.counterValue("interproc.instances"), 1u);
+  EXPECT_EQ(Metrics.counterValue("session.engine_reuses"), 0u);
+}
+
+TEST(AnalysisSessionTest, StoreDetachHookClearedWhenAQueryThrows) {
+  // Detail tracing routes store detaches through the process-global
+  // hook for the duration of a run; a failing query must not leave it
+  // pointing at the session's recorder.
+  auto Session = makeSession(paper::ForProgram);
+  ASSERT_NE(Session, nullptr);
+  Session->enableTracing(TraceRecorder::AllEvents);
+  EXPECT_THROW(Session->demandCheck(1u << 30), std::out_of_range);
+  EXPECT_EQ(trace::StoreDetachHook.load(), nullptr);
+  Session->run();
+  EXPECT_EQ(trace::StoreDetachHook.load(), nullptr);
+}
+
 } // namespace
