@@ -11,7 +11,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchSupport.h"
-#include "core/AbstractDebugger.h"
 #include "frontend/PaperPrograms.h"
 #include "interp/Interpreter.h"
 #include "support/Rng.h"
@@ -19,7 +18,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <memory>
+#include <optional>
 
 using namespace syntox;
 
@@ -28,7 +27,7 @@ namespace {
 bench::Harness *Harness = nullptr;
 
 struct Workload {
-  std::unique_ptr<AbstractDebugger> Dbg;
+  std::optional<AnalysisResult> Result;
   std::vector<int64_t> Inputs;
 };
 
@@ -38,7 +37,7 @@ Workload &workload(const char *Name, const char *Source) {
   if (It != Cache.end())
     return It->second;
   Workload W;
-  W.Dbg = Harness->analyze(Name, Source, Harness->options());
+  W.Result = Harness->run(Name, Source, Harness->options());
   Rng R(7);
   if (std::string(Name) == "BinarySearch") {
     W.Inputs.push_back(100);
@@ -60,7 +59,7 @@ Workload &workload(const char *Name, const char *Source) {
 void runInterp(benchmark::State &State, const char *Name,
                const char *Source, bool Checks) {
   Workload &W = workload(Name, Source);
-  Interpreter I(W.Dbg->program());
+  Interpreter I(W.Result->debugger().program());
   Interpreter::Options Opts;
   Opts.Inputs = W.Inputs;
   Opts.EnableChecks = Checks;
@@ -115,7 +114,7 @@ void printStaticTable() {
                                 DomainKind::Product};
   for (const Row &R : Rows) {
     Workload &W = workload(R.Name, R.Source);
-    Interpreter I(W.Dbg->program());
+    Interpreter I(W.Result->debugger().program());
     Interpreter::Options Opts;
     Opts.Inputs = W.Inputs;
     Interpreter::Result Run = I.run(Opts);
@@ -125,18 +124,18 @@ void printStaticTable() {
       CheckSummary S;
       bool AllSafe = false;
       if (DK == DomainKind::Interval) {
-        S = W.Dbg->checks().summary();
-        AllSafe = W.Dbg->checks().allSafe();
+        S = W.Result->checks().summary();
+        AllSafe = W.Result->checks().allSafe();
       } else {
         AnalysisOptions DOpts = Harness->options();
         DOpts.Domain = DK;
-        auto Dbg = Harness->analyze(
+        auto Result = Harness->run(
             std::string(R.Name) + "/" + domainKindName(DK), R.Source,
             DOpts);
-        if (!Dbg)
+        if (!Result)
           continue;
-        S = Dbg->checks().summary();
-        AllSafe = Dbg->checks().allSafe();
+        S = Result->checks().summary();
+        AllSafe = Result->checks().allSafe();
       }
       std::printf("%-14s %-10s %2u/%2u sites eliminable (%.0f%%), all "
                   "array accesses proved: %-3s dynamic checks removed "

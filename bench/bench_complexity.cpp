@@ -11,10 +11,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchSupport.h"
-#include "core/AbstractDebugger.h"
 #include "frontend/PaperPrograms.h"
 
-#include <chrono>
 #include <cstdio>
 #include <string>
 
@@ -46,33 +44,15 @@ struct Measurement {
   double Cold3Seconds = 0;
 };
 
+/// Best of three cold runs, each on a fresh session so no state (the
+/// warm chain, an enabled transfer cache) carries across repetitions.
 double timeOnce(bench::Harness &H, const std::string &Label,
-                const std::string &Source,
-                const AbstractDebugger::Options &Opts, unsigned *Points) {
-  double Best = 1e9;
-  const AnalysisStats *Stats = nullptr;
-  std::unique_ptr<AbstractDebugger> Last;
-  for (int I = 0; I < 3; ++I) {
-    // A fresh debugger per repetition so no state (e.g. an enabled
-    // transfer cache) carries fills across analyze() calls.
-    DiagnosticsEngine Diags;
-    auto Dbg = AbstractDebugger::create(Source, Diags, Opts);
-    if (!Dbg) {
-      std::printf("frontend error\n%s", Diags.str().c_str());
-      return 0;
-    }
-    auto Start = std::chrono::steady_clock::now();
-    Dbg->analyze();
-    Best = std::min(Best, std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - Start)
-                              .count());
-    if (Points)
-      *Points = static_cast<unsigned>(Dbg->stats().ControlPoints);
-    Last = std::move(Dbg);
-    Stats = &Last->stats();
-  }
-  if (Stats)
-    H.recordPhases(Label, *Stats, Best);
+                const std::string &Source, const AnalysisOptions &Opts,
+                unsigned *Points) {
+  double Best = 0;
+  auto Result = H.run(Label, Source, Opts, &Best, /*Repeats=*/3);
+  if (Result && Points)
+    *Points = static_cast<unsigned>(Result->stats().ControlPoints);
   return Best;
 }
 
@@ -80,7 +60,7 @@ Measurement measure(bench::Harness &H, const std::string &Label,
                     const std::string &Source) {
   Measurement M;
   M.Seconds = timeOnce(H, Label, Source, H.options(), &M.Points);
-  AbstractDebugger::Options Chain = H.options();
+  AnalysisOptions Chain = H.options();
   Chain.BackwardRounds = 3;
   Chain.WarmStart = true;
   M.Warm3Seconds = timeOnce(H, Label + "/warm3", Source, Chain, nullptr);

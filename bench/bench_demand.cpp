@@ -1,9 +1,9 @@
 //===- bench/bench_demand.cpp - E-demand: demand-driven queries -----------===//
 //
-// Measures demand-driven queries (AbstractDebugger::analyzeDemand)
-// against a cold full solve of the same program. Each family carries a
-// runtime check / assertion at the far end of its chain, and each row
-// is one query:
+// Measures demand-driven queries (AnalysisSession::demandStateAt /
+// demandCheck) against a cold full solve of the same program. Each
+// family carries a runtime check / assertion at the far end of its
+// chain, and each row is one query:
 //
 //   loopChain(K)   K sequential counting loops ending in a division
 //                  check + assertion. point:front / point:mid queries
@@ -31,7 +31,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchSupport.h"
-#include "core/AbstractDebugger.h"
 #include "frontend/PaperPrograms.h"
 
 #include <chrono>
@@ -132,17 +131,15 @@ RunNumbers demandRun(bench::Harness &H, const std::string &Label,
   return numbersOf(R->stats(), Seconds);
 }
 
-/// The id of the single runtime check of \p Source (the far-end
-/// division); the check table exists as soon as the CFG does.
-unsigned farCheckId(bench::Harness &H, const std::string &Source) {
-  DiagnosticsEngine Diags;
-  auto Dbg = AbstractDebugger::create(Source, Diags, H.options());
-  const AbstractDebugger *Probe = Dbg.get();
-  if (!Probe || Probe->analyzer().checkTable().empty()) {
-    std::printf("no runtime check found\n%s", Diags.str().c_str());
+/// The id of the single runtime check (the far-end division) of the
+/// program \p Cold analyzed.
+unsigned farCheckId(const AnalysisResult &Cold) {
+  const std::vector<CheckInfo> &Table = Cold.analyzer().checkTable();
+  if (Table.empty()) {
+    std::printf("no runtime check found\n");
     std::exit(1);
   }
-  return Probe->analyzer().checkTable().back().Id;
+  return Table.back().Id;
 }
 
 void reportRow(bench::Harness &H, const char *Family, unsigned K,
@@ -221,7 +218,7 @@ int main(int argc, char **argv) {
     reportRow(H, "loopChain", K, "point:mid", ColdN,
               demandRun(H, "loopChain/point:mid", Source, Mid),
               demandRun(H, "loopChain/point:mid/warm", Source, Mid, Cache));
-    DemandSpec Far = DemandSpec::check(farCheckId(H, Source));
+    DemandSpec Far = DemandSpec::check(farCheckId(*Cold));
     reportRow(H, "loopChain", K, "check:far", ColdN,
               demandRun(H, "loopChain/check:far", Source, Far),
               demandRun(H, "loopChain/check:far/warm", Source, Far, Cache));
@@ -242,7 +239,7 @@ int main(int argc, char **argv) {
     auto Cold = H.run("dispatchChain/cold", Source, ColdOpts, &Seconds);
     RunNumbers ColdN = numbersOf(Cold->stats(), Seconds);
     header("dispatchChain", K);
-    DemandSpec Far = DemandSpec::check(farCheckId(H, Source));
+    DemandSpec Far = DemandSpec::check(farCheckId(*Cold));
     reportRow(H, "dispatchChain", K, "check:far", ColdN,
               demandRun(H, "dispatchChain/check:far", Source, Far),
               demandRun(H, "dispatchChain/check:far/warm", Source, Far,

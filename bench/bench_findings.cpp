@@ -8,7 +8,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchSupport.h"
-#include "core/AbstractDebugger.h"
 #include "frontend/PaperPrograms.h"
 
 #include <cstdio>
@@ -29,20 +28,20 @@ struct Row {
 bool runRow(bench::Harness &H, const Row &R) {
   AnalysisOptions Opts = H.options();
   Opts.TerminationGoal = R.TerminationGoal;
-  auto Dbg = H.analyze(R.Program, R.Source, Opts);
-  if (!Dbg)
+  auto Result = H.run(R.Program, R.Source, Opts);
+  if (!Result)
     return false;
   std::string Found = "(no condition)";
   bool Match = false;
-  for (const NecessaryCondition &C : Dbg->conditions()) {
+  for (const NecessaryCondition &C : Result->conditions()) {
     if (C.str().find(R.ExpectedNeedle) != std::string::npos) {
       Found = C.str();
       Match = true;
       break;
     }
   }
-  if (!Match && !Dbg->conditions().empty())
-    Found = Dbg->conditions().front().str();
+  if (!Match && !Result->conditions().empty())
+    Found = Result->conditions().front().str();
   std::printf("%-14s paper: %-34s derived: %-48s %s\n", R.Program,
               R.PaperClaim, Found.c_str(), Match ? "MATCH" : "DIFFER");
   json::Value Json = json::Value::object();

@@ -14,7 +14,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchSupport.h"
-#include "core/AbstractDebugger.h"
 #include "frontend/PaperPrograms.h"
 
 #include <chrono>
@@ -76,16 +75,16 @@ void runFamily(bench::Harness &H, const char *Family, unsigned K,
 
   std::string Label = std::string(Family) + "/" + std::to_string(K);
   double ColdSeconds = 0, WarmSeconds = 0;
-  auto ColdDbg = H.analyze(Label + "/cold", Source, Cold, &ColdSeconds);
-  auto WarmDbg = H.analyze(Label + "/warm", Source, Warm, &WarmSeconds);
-  if (!ColdDbg || !WarmDbg)
+  auto ColdResult = H.run(Label + "/cold", Source, Cold, &ColdSeconds);
+  auto WarmResult = H.run(Label + "/warm", Source, Warm, &WarmSeconds);
+  if (!ColdResult || !WarmResult)
     return;
 
-  std::vector<RoundBreakdown> ColdRounds = perRound(ColdDbg->stats());
-  std::vector<RoundBreakdown> WarmRounds = perRound(WarmDbg->stats());
+  std::vector<RoundBreakdown> ColdRounds = perRound(ColdResult->stats());
+  std::vector<RoundBreakdown> WarmRounds = perRound(WarmResult->stats());
 
   std::printf("%s: %u points, cold %.4fs, warm %.4fs\n", Label.c_str(),
-              static_cast<unsigned>(ColdDbg->stats().ControlPoints),
+              static_cast<unsigned>(ColdResult->stats().ControlPoints),
               ColdSeconds, WarmSeconds);
   std::printf("%8s %12s %12s %10s %12s %8s\n", "round", "cold evals",
               "warm evals", "replays", "avoided", "factor");
@@ -110,8 +109,8 @@ void runFamily(bench::Harness &H, const char *Family, unsigned K,
     Row.set("warm_evals", W.Evals);
     Row.set("warm_component_skips", W.Skips);
     Row.set("warm_skipped_evals", W.SkippedEvals);
-    Row.set("cold_unions", ColdDbg->stats().Unions);
-    Row.set("warm_unions", WarmDbg->stats().Unions);
+    Row.set("cold_unions", ColdResult->stats().Unions);
+    Row.set("warm_unions", WarmResult->stats().Unions);
     Row.set("cold_seconds", C.Seconds);
     Row.set("warm_seconds", W.Seconds);
     H.row(std::move(Row));
@@ -119,7 +118,7 @@ void runFamily(bench::Harness &H, const char *Family, unsigned K,
   std::printf("  summary reuses: %llu (callee instances replayed whole; "
               "see metrics interproc.*)\n\n",
               static_cast<unsigned long long>(
-                  WarmDbg->stats().SummaryReuses));
+                  WarmResult->stats().SummaryReuses));
 }
 
 } // namespace

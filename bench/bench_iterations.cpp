@@ -16,7 +16,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchSupport.h"
-#include "core/AbstractDebugger.h"
 #include "frontend/PaperPrograms.h"
 
 #include <cstdio>
@@ -28,11 +27,11 @@ static void session(bench::Harness &H, const char *Title,
   std::printf("---- %s ----\n", Title);
   AnalysisOptions Opts = H.options();
   Opts.TerminationGoal = TerminationGoal;
-  auto Dbg = H.analyze(Title, Source, Opts);
-  if (!Dbg)
+  auto Result = H.run(Title, Source, Opts);
+  if (!Result)
     return;
-  std::printf("%s", Dbg->stats().str().c_str());
-  const AnalysisStats &S = Dbg->stats();
+  std::printf("%s", Result->stats().str().c_str());
+  const AnalysisStats &S = Result->stats();
   double StepsPerEquation =
       S.Equations == 0
           ? 0.0

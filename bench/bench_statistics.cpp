@@ -20,10 +20,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchSupport.h"
-#include "core/AbstractDebugger.h"
 #include "frontend/PaperPrograms.h"
 
-#include <chrono>
 #include <cstdio>
 #include <string>
 
@@ -39,24 +37,13 @@ struct PaperRow {
 
 void row(bench::Harness &H, const char *Name, const std::string &Source,
          PaperRow Paper) {
-  DiagnosticsEngine Diags;
-  auto Dbg = AbstractDebugger::create(Source, Diags, H.options());
-  if (!Dbg) {
-    std::printf("%-12s frontend error\n", Name);
+  // Best of three cold runs, each on a fresh session: a re-run on one
+  // session replays its warm chain and reports no solver work.
+  double Best = 0;
+  auto Result = H.run(Name, Source, H.options(), &Best, /*Repeats=*/3);
+  if (!Result)
     return;
-  }
-  // Median-ish of three runs for the time column.
-  double Best = 1e9;
-  for (int K = 0; K < 3; ++K) {
-    auto Start = std::chrono::steady_clock::now();
-    Dbg->analyze();
-    double T = std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - Start)
-                   .count();
-    Best = std::min(Best, T);
-  }
-  const AnalysisStats &S = Dbg->stats();
-  H.recordPhases(Name, S, Best);
+  const AnalysisStats &S = Result->stats();
   std::printf("%-12s %8llu %9llu kb %9.4f s   | paper: %5u %6u kb %7.1f s\n",
               Name, (unsigned long long)S.ControlPoints,
               (unsigned long long)(S.BytesUsed / 1024), Best, Paper.Size,

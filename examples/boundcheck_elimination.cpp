@@ -13,7 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "checks/CheckAnalysis.h"
-#include "core/AbstractDebugger.h"
+#include "core/AnalysisSession.h"
 #include "frontend/PaperPrograms.h"
 #include "interp/Interpreter.h"
 #include "support/Rng.h"
@@ -77,22 +77,22 @@ int main() {
   Rng R(4242);
   for (const Case &C : Cases) {
     DiagnosticsEngine Diags;
-    auto Dbg = AbstractDebugger::create(C.Source, Diags);
-    if (!Dbg) {
+    auto Session = AnalysisSession::create(C.Source, Diags);
+    if (!Session) {
       std::fprintf(stderr, "%s", Diags.str().c_str());
       continue;
     }
-    Dbg->analyze();
-    CheckSummary S = Dbg->checks().summary();
+    AnalysisResult Result = Session->run();
+    CheckSummary S = Result.checks().summary();
     std::printf("%-14s checks: %2u total, %2u proved safe, %u unreachable, "
                 "%u dynamic  %s\n",
                 C.Name, S.Total, S.Safe, S.Unreachable,
                 S.MayFail + S.MustFail,
-                Dbg->checks().allSafe() ? "[all array accesses proved]"
-                                        : "");
+                Result.checks().allSafe() ? "[all array accesses proved]"
+                                          : "");
 
     // Concrete timing with and without the (justified) checks.
-    Interpreter I(Dbg->program());
+    Interpreter I(Result.debugger().program());
     std::vector<int64_t> Inputs = makeInputs(C.Name, R);
 
     // Verify semantic equivalence first.

@@ -12,7 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/AbstractDebugger.h"
+#include "core/AnalysisSession.h"
 #include "interp/Interpreter.h"
 
 #include <cstdio>
@@ -68,15 +68,15 @@ int main() {
   std::printf("%s\n", Program);
 
   DiagnosticsEngine Diags;
-  auto Dbg = AbstractDebugger::create(Program, Diags);
-  if (!Dbg) {
+  auto Session = AnalysisSession::create(Program, Diags);
+  if (!Session) {
     std::fprintf(stderr, "%s", Diags.str().c_str());
     return 1;
   }
-  Dbg->analyze();
+  AnalysisResult Result = Session->run();
 
   std::printf("--- Abstract state at the handler ---\n");
-  for (const PointState &S : Dbg->mainStates("label 99")) {
+  for (const PointState &S : Result.mainStates("label 99")) {
     std::printf("%s %s:", S.Loc.str().c_str(), S.PointDesc.c_str());
     for (const StateBinding &B : S.Bindings)
       std::printf(" %s=%s", B.Var.c_str(), B.Value.c_str());
@@ -89,7 +89,7 @@ int main() {
               "and fail, and the copied-out state flows to the label.\n\n");
 
   // Concrete confirmation.
-  Interpreter I(Dbg->program());
+  Interpreter I(Result.debugger().program());
   struct Run {
     const char *What;
     std::vector<int64_t> Inputs;

@@ -44,8 +44,7 @@ int main() {
   // --- 1. The invariant proves the result ------------------------------
   std::printf("[1] mc with invariant(n <= 101) at the entry:\n");
   if (auto Result = analyze(paper::McCarthyWithInvariant)) {
-    for (const PointState &S :
-         Result->debugger().mainStates("exit of mccarthy")) {
+    for (const PointState &S : Result->mainStates("exit of mccarthy")) {
       std::printf("%s %s:", S.Loc.str().c_str(), S.PointDesc.c_str());
       for (const StateBinding &B : S.Bindings)
         std::printf(" %s=%s", B.Var.c_str(), B.Value.c_str());

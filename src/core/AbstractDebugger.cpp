@@ -1,4 +1,4 @@
-//===- core/AbstractDebugger.cpp - Public abstract-debugging API ----------===//
+//===- core/AbstractDebugger.cpp - Abstract-debugging engine --------------===//
 
 #include "core/AbstractDebugger.h"
 
@@ -9,6 +9,7 @@
 #include "frontend/Sema.h"
 
 #include <algorithm>
+#include <cassert>
 #include <set>
 #include <stdexcept>
 
@@ -16,7 +17,7 @@ using namespace syntox;
 
 std::unique_ptr<AbstractDebugger>
 AbstractDebugger::create(const std::string &Source, DiagnosticsEngine &Diags,
-                         Options Opts) {
+                         const AnalysisOptions &Opts) {
   auto Ctx = std::make_unique<AstContext>();
   Lexer Lex(Source, Diags);
   Parser P(Lex.lexAll(), *Ctx, Diags);
@@ -35,7 +36,6 @@ AbstractDebugger::create(const std::string &Source, DiagnosticsEngine &Diags,
   Dbg->Ctx = std::move(Ctx);
   Dbg->Cfg = std::move(Cfg);
   Dbg->Program = Program;
-  Dbg->Opts = Opts;
   Dbg->An = std::make_unique<Analyzer>(*Dbg->Cfg, Program, Opts);
   return Dbg;
 }
@@ -43,6 +43,7 @@ AbstractDebugger::create(const std::string &Source, DiagnosticsEngine &Diags,
 AbstractDebugger::~AbstractDebugger() = default;
 
 void AbstractDebugger::analyze() {
+  assert(!DemandAnalyzed && "a demand engine holds only a private replay");
   // Repeated analyze() calls re-run the chain on the same engine. With
   // warm starts on (the default), the analyzer's warm slots survive
   // between runs, so a re-analysis replays every phase whose recorded
@@ -55,19 +56,14 @@ void AbstractDebugger::analyze() {
   An->run();
   Checks = std::make_unique<CheckAnalysis>(*An);
   Analyzed = true;
-  DemandAnalyzed = false;
   deriveConditions();
   deriveInvariantWarnings();
 }
 
 void AbstractDebugger::analyzeDemand(const DemandSpec &Spec) {
-  if (Analyzed)
-    throw std::logic_error(
-        "analyzeDemand() on an analyzed debugger would overwrite the "
-        "published full-analysis results; use a fresh debugger (the "
-        "AnalysisSession demand queries do)");
-
-  const SuperGraph &G = An->graph();
+  // A demand run would overwrite published full-analysis results; the
+  // session's reuse gate never hands one an analyzed engine.
+  assert(!Analyzed && "demand run on a fully analyzed engine");
   std::vector<unsigned> Query;
   if (Spec.K == DemandSpec::Kind::Check) {
     Query = CheckAnalysis::checkNodes(*An, Spec.CheckId);
@@ -78,15 +74,7 @@ void AbstractDebugger::analyzeDemand(const DemandSpec &Spec) {
       throw std::out_of_range("no runtime check with id " +
                               std::to_string(Spec.CheckId));
   } else {
-    for (const Instance &Inst : G.instances())
-      for (unsigned P = 0; P < Inst.Cfg->numPoints(); ++P) {
-        SourceLoc PLoc = Inst.Cfg->pointLoc(P);
-        if (!PLoc.isValid() || PLoc.Line != Spec.Loc.Line)
-          continue;
-        if (Spec.Loc.Column != 0 && PLoc.Column != Spec.Loc.Column)
-          continue;
-        Query.push_back(G.node(Inst, P));
-      }
+    Query = nodesAt(Spec.Loc);
   }
 
   // Demand runs compose with the warm chain exactly like full runs
@@ -99,21 +87,19 @@ void AbstractDebugger::analyzeDemand(const DemandSpec &Spec) {
   deriveInvariantWarnings(&An->demandMask());
 }
 
-void AbstractDebugger::requireAnalyzed(const char *Query) const {
-  if (!Analyzed)
-    throw std::logic_error(std::string(Query) +
-                           " requires a completed analyze() call");
-}
-
-void AbstractDebugger::requireDemandAnalyzed(const char *Query) const {
-  if (!DemandAnalyzed)
-    throw std::logic_error(std::string(Query) +
-                           " requires a completed analyzeDemand() call");
-}
-
-bool AbstractDebugger::someExecutionMaySatisfySpec() const {
-  requireAnalyzed("someExecutionMaySatisfySpec()");
-  return !An->envelopeAt(An->graph().mainEntry()).isBottom();
+std::vector<unsigned> AbstractDebugger::nodesAt(SourceLoc Loc) const {
+  const SuperGraph &G = An->graph();
+  std::vector<unsigned> Nodes;
+  for (const Instance &Inst : G.instances())
+    for (unsigned P = 0; P < Inst.Cfg->numPoints(); ++P) {
+      SourceLoc PLoc = Inst.Cfg->pointLoc(P);
+      if (!PLoc.isValid() || PLoc.Line != Loc.Line)
+        continue;
+      if (Loc.Column != 0 && PLoc.Column != Loc.Column)
+        continue;
+      Nodes.push_back(G.node(Inst, P));
+    }
+  return Nodes;
 }
 
 /// All predecessor nodes of \p Node in the supergraph (including the
@@ -235,21 +221,20 @@ void AbstractDebugger::deriveInvariantWarnings(
   }
 }
 
-/// Builds the PointState of control point \p P of \p Inst.
-static PointState pointState(const Analyzer &An, const Instance &Inst,
-                             unsigned P) {
-  const SuperGraph &G = An.graph();
-  const ValueDomain &D = An.storeOps().domain();
-  unsigned Node = G.node(Inst, P);
-  const AbstractStore &Env = An.envelopeAt(Node);
+PointState AbstractDebugger::pointState(unsigned Node) const {
+  const SuperGraph &G = An->graph();
+  const ValueDomain &D = An->storeOps().domain();
+  const Instance &Inst = G.instanceOf(Node);
+  unsigned P = G.pointOf(Node);
+  const AbstractStore &Env = An->envelopeAt(Node);
   PointState S;
   S.Loc = Inst.Cfg->pointLoc(P);
   S.Routine = Inst.R->name();
   S.InstanceId = Inst.Id;
   S.PointDesc = Inst.Cfg->pointDesc(P);
-  S.Reachable = !An.forwardAt(Node).isBottom();
+  S.Reachable = !An->forwardAt(Node).isBottom();
   S.InEnvelope = !Env.isBottom();
-  const LivenessInfo *Live = An.liveness();
+  const LivenessInfo *Live = An->liveness();
   Env.forEachEntry([&](const VarDecl *V, const AbsValue &Val) {
     if (!V->name().empty() && V->name()[0] == '$')
       return; // analysis temporaries
@@ -292,94 +277,6 @@ static PointState pointState(const Analyzer &An, const Instance &Inst,
             });
   std::sort(S.PrunedVars.begin(), S.PrunedVars.end());
   return S;
-}
-
-std::vector<PointState> AbstractDebugger::stateAt(SourceLoc Loc) const {
-  requireAnalyzed("stateAt()");
-  const SuperGraph &G = An->graph();
-  std::vector<PointState> Out;
-  for (const Instance &Inst : G.instances()) {
-    for (unsigned P = 0; P < Inst.Cfg->numPoints(); ++P) {
-      SourceLoc PLoc = Inst.Cfg->pointLoc(P);
-      if (!PLoc.isValid() || PLoc.Line != Loc.Line)
-        continue;
-      if (Loc.Column != 0 && PLoc.Column != Loc.Column)
-        continue;
-      Out.push_back(pointState(*An, Inst, P));
-    }
-  }
-  return Out;
-}
-
-std::vector<PointState>
-AbstractDebugger::demandStateAt(SourceLoc Loc) const {
-  requireDemandAnalyzed("demandStateAt()");
-  const SuperGraph &G = An->graph();
-  const std::vector<uint8_t> &Cone = An->demandMask();
-  std::vector<PointState> Out;
-  for (const Instance &Inst : G.instances()) {
-    for (unsigned P = 0; P < Inst.Cfg->numPoints(); ++P) {
-      SourceLoc PLoc = Inst.Cfg->pointLoc(P);
-      if (!PLoc.isValid() || PLoc.Line != Loc.Line)
-        continue;
-      if (Loc.Column != 0 && PLoc.Column != Loc.Column)
-        continue;
-      unsigned Node = G.node(Inst, P);
-      if (Cone.empty() || !Cone[Node])
-        throw std::out_of_range(
-            "demandStateAt(): " + PLoc.str() +
-            " is outside the solved demand cone; re-query through "
-            "analyzeDemand() for this point or run a full analyze()");
-      Out.push_back(pointState(*An, Inst, P));
-    }
-  }
-  return Out;
-}
-
-bool AbstractDebugger::demandCovers(SourceLoc Loc) const {
-  requireDemandAnalyzed("demandCovers()");
-  const SuperGraph &G = An->graph();
-  const std::vector<uint8_t> &Cone = An->demandMask();
-  for (const Instance &Inst : G.instances()) {
-    for (unsigned P = 0; P < Inst.Cfg->numPoints(); ++P) {
-      SourceLoc PLoc = Inst.Cfg->pointLoc(P);
-      if (!PLoc.isValid() || PLoc.Line != Loc.Line)
-        continue;
-      if (Loc.Column != 0 && PLoc.Column != Loc.Column)
-        continue;
-      unsigned Node = G.node(Inst, P);
-      if (Cone.empty() || !Cone[Node])
-        return false;
-    }
-  }
-  return true;
-}
-
-CheckResult AbstractDebugger::demandCheck(unsigned CheckId) const {
-  requireDemandAnalyzed("demandCheck()");
-  const std::vector<uint8_t> &Cone = An->demandMask();
-  for (unsigned Node : CheckAnalysis::checkNodes(*An, CheckId))
-    if (Cone.empty() || !Cone[Node])
-      throw std::out_of_range(
-          "demandCheck(): check " + std::to_string(CheckId) +
-          " has sites outside the solved demand cone; query it through "
-          "analyzeDemand(DemandSpec::check(id))");
-  return CheckAnalysis::classifyCheck(*An, CheckId);
-}
-
-std::vector<PointState>
-AbstractDebugger::mainStates(const std::string &DescFilter) const {
-  requireAnalyzed("mainStates()");
-  const SuperGraph &G = An->graph();
-  const Instance &Main = G.instances()[0];
-  std::vector<PointState> Out;
-  for (unsigned P = 0; P < Main.Cfg->numPoints(); ++P) {
-    if (!DescFilter.empty() &&
-        Main.Cfg->pointDesc(P).find(DescFilter) == std::string::npos)
-      continue;
-    Out.push_back(pointState(*An, Main, P));
-  }
-  return Out;
 }
 
 //===----------------------------------------------------------------------===//

@@ -1,4 +1,4 @@
-//===- core/AbstractDebugger.h - Public abstract-debugging API --*- C++ -*-===//
+//===- core/AbstractDebugger.h - Abstract-debugging engine ------*- C++ -*-===//
 //
 // Part of Syntox++, a reproduction of Bourdoncle's abstract debugger
 // (PLDI 1993). Distributed under the MIT license.
@@ -6,22 +6,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The top-level API of the abstract debugger: load a Pascal program,
-/// run the iterated forward/backward analyses, then query
+/// The abstract debugger's engine and the value types of its findings:
 ///  - derived *necessary conditions of correctness* at their origin
 ///    (paper §2: conditions are back-propagated as far as possible and
 ///    reported once, e.g. "n <= 100 right after read(n)" rather than a
 ///    warning at every array access),
 ///  - possibly-violated invariant assertions,
-///  - the classification of every runtime check,
 ///  - the abstract memory state at any statement (the paper's
 ///    click-on-a-statement inspector, Figure 2),
-///  - the Figure 2 analysis statistics.
+///  - the demand-query specification.
 ///
-/// Querying before analyze() throws std::logic_error — it used to read
-/// uninitialized state. Prefer the AnalysisSession/AnalysisResult API
-/// (core/AnalysisSession.h), which makes the run/query phases explicit
-/// in the types.
+/// The engine is built and run only by AnalysisSession
+/// (core/AnalysisSession.h); its findings are read through the
+/// AnalysisResult/DemandResult a run returns.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,7 +32,6 @@
 #include "support/Json.h"
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -120,159 +116,70 @@ struct DemandSpec {
   }
 };
 
+/// The analysis engine behind AnalysisSession: one parsed and lowered
+/// program, its Analyzer, and the findings derived by the last run.
+/// Only the session builds and runs it; callers read the findings
+/// through AnalysisResult/DemandResult, which share ownership of the
+/// engine and exist only once their run has completed.
 class AbstractDebugger {
 public:
-  /// Historical spelling of the shared options struct. The old nested
-  /// `Options::Analysis` member is gone: what used to be
-  /// `Opts.Analysis.Strategy` is now just `Opts.Strategy`.
-  using Options = AnalysisOptions;
+  ~AbstractDebugger();
+
+  RoutineDecl *program() const { return Program; }
+  const Analyzer &analyzer() const { return *An; }
+
+private:
+  /// The session owns the run schedule and the persistent-cache
+  /// composition (loading warm state into the analyzer before a run,
+  /// saving it after); the result types read the derived findings.
+  friend class AnalysisSession;
+  friend class AnalysisResult;
+  friend class DemandResult;
+
+  AbstractDebugger() = default;
 
   /// Parses, checks, lowers and prepares \p Source. Returns null (with
   /// diagnostics in \p Diags) when the program has frontend errors.
   static std::unique_ptr<AbstractDebugger>
   create(const std::string &Source, DiagnosticsEngine &Diags,
-         Options Opts = Options());
+         const AnalysisOptions &Opts);
 
-  ~AbstractDebugger();
-
-  /// Runs the analysis schedule; must be called before the queries.
-  /// May be called again: a re-analysis warm-starts from the previous
-  /// run's recordings (unless WarmStart is off) and produces identical
-  /// results.
+  /// Runs the full analysis schedule and derives the findings. May be
+  /// called again on the same engine: a re-analysis warm-starts from
+  /// the previous run's recordings (unless WarmStart is off) and
+  /// produces identical results.
   void analyze();
 
-  /// Whether analyze() has completed (the queries below require it).
-  bool analyzed() const { return Analyzed; }
-
-  /// \name Demand-driven queries
-  /// Solves only the backward dependency cone of one query instead of
-  /// the whole program: the same refinement-chain schedule as
-  /// analyze(), restricted per phase to the cone, with out-of-cone
-  /// components replayed from warm memos (or the on-disk cache) at
-  /// zero live solver steps. Answers at in-cone points are
-  /// bitwise-identical to a full analyze(); queries outside the solved
-  /// cone are refused (std::out_of_range), never answered wrongly.
-  /// @{
-
-  /// Runs the cone-restricted analysis for \p Spec. Composes with
-  /// WarmStart exactly like analyze() — a warm chain (in-memory, or
-  /// one the session layer loaded from the on-disk cache) replays
-  /// everything outside the cone — but never writes back (the chain
-  /// slots and the on-disk cache only ever hold full recordings).
-  /// Throws std::logic_error on a debugger that already ran a full
-  /// analyze() (the demand run would overwrite its published
-  /// results); std::out_of_range for an unknown check id. May be
-  /// called repeatedly with different specs.
+  /// Runs the cone-restricted analysis for \p Spec: the same
+  /// refinement-chain schedule as analyze(), restricted per phase to
+  /// the backward dependency cone of the query, with out-of-cone
+  /// components replayed from warm memos (or the on-disk cache) at zero
+  /// live solver steps. Never records back: the chain slots and the
+  /// on-disk cache only ever hold full recordings. Throws
+  /// std::out_of_range for an unknown check id.
   void analyzeDemand(const DemandSpec &Spec);
 
-  /// Whether analyzeDemand() has completed (the demand queries below
-  /// require it).
-  bool demandAnalyzed() const { return DemandAnalyzed; }
+  /// Supergraph nodes of every control point whose source location
+  /// matches \p Loc (a zero column matches the whole line), over all
+  /// activation instances in instance and point order.
+  std::vector<unsigned> nodesAt(SourceLoc Loc) const;
 
-  /// The abstract state at every control point matching \p Loc, like
-  /// stateAt(), but answered from the demand run. Throws
-  /// std::logic_error before analyzeDemand(), and std::out_of_range
-  /// when any matching point lies outside the solved cone.
-  std::vector<PointState> demandStateAt(SourceLoc Loc) const;
+  /// The inspector view of supergraph node \p Node.
+  PointState pointState(unsigned Node) const;
 
-  /// True when every control point matching \p Loc is inside the
-  /// solved cone, i.e. demandStateAt(Loc) will answer.
-  bool demandCovers(SourceLoc Loc) const;
-
-  /// The classification of runtime check \p CheckId from the demand
-  /// run. Throws std::logic_error before analyzeDemand(), and
-  /// std::out_of_range when the check's sites are outside the cone.
-  CheckResult demandCheck(unsigned CheckId) const;
-
-  /// Necessary conditions derived inside the solved cone. At in-cone
-  /// points these equal the full-analysis conditions; conditions whose
-  /// origin lies outside the cone are absent.
-  const std::vector<NecessaryCondition> &demandConditions() const {
-    requireDemandAnalyzed("demandConditions()");
-    return Conditions;
-  }
-
-  /// Invariant warnings derived inside the solved cone (same caveat as
-  /// demandConditions()).
-  const std::vector<InvariantWarning> &demandInvariantWarnings() const {
-    requireDemandAnalyzed("demandInvariantWarnings()");
-    return InvariantWarnings;
-  }
-
-  /// @}
-
-  /// The whole-program verdict: false when the analysis proved that *no*
-  /// input can satisfy the specification (envelope empty at entry).
-  bool someExecutionMaySatisfySpec() const;
-
-  /// Derived necessary conditions at their origin points.
-  const std::vector<NecessaryCondition> &conditions() const {
-    requireAnalyzed("conditions()");
-    return Conditions;
-  }
-
-  /// Invariant assertions the forward analysis could not discharge.
-  const std::vector<InvariantWarning> &invariantWarnings() const {
-    requireAnalyzed("invariantWarnings()");
-    return InvariantWarnings;
-  }
-
-  /// Classification of every runtime check.
-  const CheckAnalysis &checks() const {
-    requireAnalyzed("checks()");
-    return *Checks;
-  }
-
-  /// The abstract state at every control point whose source location
-  /// matches \p Loc — all activation instances, main and callees. A
-  /// zero column matches the whole line. Empty when no point matches.
-  std::vector<PointState> stateAt(SourceLoc Loc) const;
-
-  /// Structured form of the whole-program statement inspector: the
-  /// abstract state at every control point of the main routine whose
-  /// description contains \p DescFilter (empty = all points).
-  std::vector<PointState>
-  mainStates(const std::string &DescFilter = "") const;
-
-  /// Figure 2 statistics (of the full or the demand run, whichever
-  /// completed).
-  const AnalysisStats &stats() const {
-    if (!Analyzed)
-      requireDemandAnalyzed("stats()");
-    return An->stats();
-  }
-
-  RoutineDecl *program() const { return Program; }
-  const Analyzer &analyzer() const { return *An; }
-  const ProgramCfg &cfg() const { return *Cfg; }
-  AstContext &context() { return *Ctx; }
-
-private:
-  AbstractDebugger() = default;
   /// \p Cone restricts derivation to in-cone nodes (demand runs; null
   /// = all nodes). The cone is predecessor-closed over the forward
   /// dependencies, so every value the frontier tests read is in-cone.
   void deriveConditions(const std::vector<uint8_t> *Cone = nullptr);
   void deriveInvariantWarnings(const std::vector<uint8_t> *Cone = nullptr);
-  /// Throws std::logic_error mentioning \p Query when analyze() has not
-  /// completed (such reads returned garbage before this guard existed).
-  void requireAnalyzed(const char *Query) const;
-  /// Same contract for the demand-query entry points: pre-run queries
-  /// throw std::logic_error, exactly like the full-analysis queries.
-  void requireDemandAnalyzed(const char *Query) const;
-
-  /// The session layer owns the persistent-cache composition (loading
-  /// warm state into the analyzer before a run, saving it after) and
-  /// needs mutable engine access for it; everyone else goes through the
-  /// const surface above.
-  friend class AnalysisSession;
 
   std::unique_ptr<AstContext> Ctx;
   std::unique_ptr<ProgramCfg> Cfg;
   std::unique_ptr<Analyzer> An;
-  std::unique_ptr<CheckAnalysis> Checks;
+  std::unique_ptr<CheckAnalysis> Checks; ///< full runs only
   RoutineDecl *Program = nullptr;
-  Options Opts;
+  /// Which kind of run this engine completed: the session's reuse gate
+  /// never hands a full run a demand engine, nor the reverse.
   bool Analyzed = false;
   bool DemandAnalyzed = false;
   std::vector<NecessaryCondition> Conditions;

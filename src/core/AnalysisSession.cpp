@@ -5,6 +5,7 @@
 #include "persist/WarmCache.h"
 
 #include <cassert>
+#include <stdexcept>
 
 using namespace syntox;
 
@@ -35,6 +36,52 @@ private:
 };
 
 } // namespace
+
+bool AnalysisResult::someExecutionMaySatisfySpec() const {
+  const Analyzer &An = analyzer();
+  return !An.envelopeAt(An.graph().mainEntry()).isBottom();
+}
+
+std::vector<PointState> AnalysisResult::stateAt(SourceLoc Loc) const {
+  std::vector<PointState> Out;
+  for (unsigned Node : Dbg->nodesAt(Loc))
+    Out.push_back(Dbg->pointState(Node));
+  return Out;
+}
+
+std::vector<PointState>
+AnalysisResult::mainStates(const std::string &DescFilter) const {
+  const SuperGraph &G = analyzer().graph();
+  const Instance &Main = G.instances()[0];
+  std::vector<PointState> Out;
+  for (unsigned P = 0; P < Main.Cfg->numPoints(); ++P) {
+    if (!DescFilter.empty() &&
+        Main.Cfg->pointDesc(P).find(DescFilter) == std::string::npos)
+      continue;
+    Out.push_back(Dbg->pointState(G.node(Main, P)));
+  }
+  return Out;
+}
+
+bool DemandResult::covers(SourceLoc Loc) const {
+  const std::vector<uint8_t> &Cone = analyzer().demandMask();
+  for (unsigned Node : Dbg->nodesAt(Loc))
+    if (Cone.empty() || !Cone[Node])
+      return false;
+  return true;
+}
+
+std::vector<PointState> DemandResult::stateAt(SourceLoc Loc) const {
+  if (!covers(Loc))
+    throw std::out_of_range(
+        "stateAt(): " + Loc.str() +
+        " is outside the solved demand cone; ask the session a demand "
+        "query for this point or run a full analysis");
+  std::vector<PointState> Out;
+  for (unsigned Node : Dbg->nodesAt(Loc))
+    Out.push_back(Dbg->pointState(Node));
+  return Out;
+}
 
 json::Value AnalysisResult::toJson() const {
   json::Value V = json::Value::object();
@@ -138,9 +185,9 @@ std::shared_ptr<AbstractDebugger> AnalysisSession::engineForRun(
   // and the run kinds compose — a full run must not recycle a demand
   // engine (the published chain only ever held a private demand
   // replay) and a demand run must not recycle a fully analyzed engine
-  // (analyzeDemand() refuses, to protect published results). The
-  // engine create() validated with passes this gate unanalyzed; only
-  // an engine that already ran counts as a reuse.
+  // (it would overwrite the published results). The engine create()
+  // validated with passes this gate unanalyzed; only an engine that
+  // already ran counts as a reuse.
   bool Reusable = Engine && Engine.use_count() == 1 &&
                   EngineOpts == Opts &&
                   (ForDemand ? !Engine->Analyzed : !Engine->DemandAnalyzed);
@@ -207,14 +254,15 @@ DemandResult AnalysisSession::runDemandQuery(const DemandSpec &Spec) {
   // save: the cache must only ever hold full recordings.
   loadPersistCache(*Dbg);
   Dbg->analyzeDemand(Spec);
-  std::vector<PointState> States;
-  CheckResult Check;
+  DemandResult R(std::move(Dbg), Spec);
+  // The query's own points (or check sites) seed the cone, so its
+  // answer is always inside it.
   if (Spec.K == DemandSpec::Kind::Point)
-    States = Dbg->demandStateAt(Spec.Loc);
+    R.States = R.stateAt(Spec.Loc);
   else
-    Check = Dbg->demandCheck(Spec.CheckId);
-  return DemandResult(std::move(Dbg), Spec, std::move(States), Check,
-                      Metrics.snapshot());
+    R.Check = CheckAnalysis::classifyCheck(R.analyzer(), Spec.CheckId);
+  R.MetricsSnapshot = Metrics.snapshot();
+  return R;
 }
 
 DemandResult AnalysisSession::demandStateAt(SourceLoc Loc) {

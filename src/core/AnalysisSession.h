@@ -6,7 +6,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The preferred entry point to the abstract debugger: an AnalysisSession
+/// The only entry point to the abstract debugger: an AnalysisSession
 /// holds a validated program plus the analysis configuration and the
 /// telemetry plumbing (an owned MetricsRegistry, an optional owned
 /// TraceRecorder). create() validates the program by building its
@@ -14,13 +14,13 @@
 /// for one engine build; run() executes the full schedule and returns an
 /// *immutable* AnalysisResult that owns every finding — necessary
 /// conditions, invariant warnings, check classifications, statistics, a
-/// metrics snapshot, and structured per-point state queries.
+/// metrics snapshot, and structured per-point state queries. The
+/// demand queries return a DemandResult holding the partial findings of
+/// a cone-restricted run.
 ///
-/// The split fixes the footgun of the bare AbstractDebugger API, where
-/// results were mutable views into an object that a later analyze()
-/// could silently invalidate: each run() freezes its engine behind
-/// shared const ownership, so results outlive the session and never
-/// change under the caller.
+/// Each run freezes its engine behind shared const ownership, so a
+/// result outlives the session and never changes under the caller, and
+/// no query can reach an engine before its run has completed.
 ///
 /// The session is also the sole owner of the persistent warm-start
 /// cache composition (AnalysisOptions::CacheDir): it loads matching
@@ -56,49 +56,44 @@
 namespace syntox {
 
 /// Immutable findings of one completed analysis run. Cheap to copy
-/// (shared const ownership of the underlying debugger); valid after the
+/// (shared const ownership of the underlying engine); valid after the
 /// creating session is gone.
 class AnalysisResult {
 public:
   /// The whole-program verdict: false when the analysis proved that *no*
-  /// input can satisfy the specification.
-  bool someExecutionMaySatisfySpec() const {
-    return Dbg->someExecutionMaySatisfySpec();
-  }
+  /// input can satisfy the specification (envelope empty at entry).
+  bool someExecutionMaySatisfySpec() const;
 
   /// Derived necessary conditions of correctness at their origin points.
   const std::vector<NecessaryCondition> &conditions() const {
-    return Dbg->conditions();
+    return Dbg->Conditions;
   }
 
   /// Invariant assertions the forward analysis could not discharge.
   const std::vector<InvariantWarning> &invariantWarnings() const {
-    return Dbg->invariantWarnings();
+    return Dbg->InvariantWarnings;
   }
 
   /// Classification of every runtime check.
-  const CheckAnalysis &checks() const { return Dbg->checks(); }
+  const CheckAnalysis &checks() const { return *Dbg->Checks; }
 
   /// Figure 2 statistics of this run.
-  const AnalysisStats &stats() const { return Dbg->stats(); }
+  const AnalysisStats &stats() const { return analyzer().stats(); }
 
   /// Metrics snapshot taken when the run finished. Counters accumulate
   /// over the owning session's lifetime, so in a multi-run session this
   /// is "session totals as of this run".
   const json::Value &metrics() const { return MetricsSnapshot; }
 
-  /// The abstract state at every control point matching \p Loc (zero
-  /// column matches the whole line) — the structured statement
+  /// The abstract state at every control point matching \p Loc — all
+  /// activation instances, main and callees; a zero column matches the
+  /// whole line. Empty when no point matches. The structured statement
   /// inspector.
-  std::vector<PointState> stateAt(SourceLoc Loc) const {
-    return Dbg->stateAt(Loc);
-  }
+  std::vector<PointState> stateAt(SourceLoc Loc) const;
 
   /// The abstract state at every control point of the main routine
-  /// (optionally filtered by point-description substring).
-  std::vector<PointState> mainStates(const std::string &DescFilter = "") const {
-    return Dbg->mainStates(DescFilter);
-  }
+  /// whose description contains \p DescFilter (empty = all points).
+  std::vector<PointState> mainStates(const std::string &DescFilter = "") const;
 
   /// The complete findings document (verdict, conditions, warnings,
   /// checks, stats, metrics) with stable keys — see
@@ -124,6 +119,7 @@ private:
 /// the points inside the cone carry trustworthy values, and every
 /// accessor that could touch an out-of-cone point refuses
 /// (std::out_of_range) instead of answering from unspecified state.
+/// Answers at in-cone points are bitwise-identical to a full run's.
 /// Cheap to copy; valid after the creating session is gone.
 class DemandResult {
 public:
@@ -144,28 +140,28 @@ public:
 
   /// Follow-up state query against the same demand run. Throws
   /// std::out_of_range when any matching point is outside the cone.
-  std::vector<PointState> stateAt(SourceLoc Loc) const {
-    return Dbg->demandStateAt(Loc);
-  }
+  std::vector<PointState> stateAt(SourceLoc Loc) const;
 
   /// True when stateAt(\p Loc) will answer (every matching point is
   /// inside the solved cone).
-  bool covers(SourceLoc Loc) const { return Dbg->demandCovers(Loc); }
+  bool covers(SourceLoc Loc) const;
 
   /// Necessary conditions whose origin lies inside the cone (equal to
-  /// the full-analysis conditions at those points).
+  /// the full-analysis conditions at those points; conditions whose
+  /// origin lies outside the cone are absent).
   const std::vector<NecessaryCondition> &conditions() const {
-    return Dbg->demandConditions();
+    return Dbg->Conditions;
   }
 
-  /// Invariant warnings derived inside the cone.
+  /// Invariant warnings derived inside the cone (same caveat as
+  /// conditions()).
   const std::vector<InvariantWarning> &invariantWarnings() const {
-    return Dbg->demandInvariantWarnings();
+    return Dbg->InvariantWarnings;
   }
 
   /// Statistics of the demand run (DemandedComponents/SkippedByDemand
   /// carry the cone accounting).
-  const AnalysisStats &stats() const { return Dbg->stats(); }
+  const AnalysisStats &stats() const { return analyzer().stats(); }
 
   /// Metrics snapshot taken when the query finished.
   const json::Value &metrics() const { return MetricsSnapshot; }
@@ -175,15 +171,11 @@ public:
 
   /// Read-only access to the underlying engine (demandMask() etc.).
   const Analyzer &analyzer() const { return Dbg->analyzer(); }
-  const AbstractDebugger &debugger() const { return *Dbg; }
 
 private:
   friend class AnalysisSession;
-  DemandResult(std::shared_ptr<const AbstractDebugger> Dbg,
-               DemandSpec Spec, std::vector<PointState> States,
-               CheckResult Check, json::Value MetricsSnapshot)
-      : Dbg(std::move(Dbg)), Spec(Spec), States(std::move(States)),
-        Check(Check), MetricsSnapshot(std::move(MetricsSnapshot)) {}
+  DemandResult(std::shared_ptr<const AbstractDebugger> Dbg, DemandSpec Spec)
+      : Dbg(std::move(Dbg)), Spec(Spec) {}
 
   std::shared_ptr<const AbstractDebugger> Dbg;
   DemandSpec Spec;

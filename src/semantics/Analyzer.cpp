@@ -600,9 +600,9 @@ void Analyzer::runImpl(const std::vector<std::vector<uint8_t>> *Masks) {
   // every replay check (memo shape, recorded Env/Seeds, value-by-value
   // boundary comparison) re-verifies against the same ordinal of the
   // previous run. Phases whose inputs still match replay outright;
-  // anything else is solved cold. A second AbstractDebugger::analyze()
-  // of an unchanged program therefore replays the *entire* chain —
-  // zero live solver steps — while remaining bitwise-identical.
+  // anything else is solved cold. A second run() of an unchanged
+  // program therefore replays the *entire* chain — zero live solver
+  // steps — while remaining bitwise-identical.
   // Demand runs (Masks != null) walk the same ordinals against a
   // private copy of the chain: they replay whatever the published
   // slots allow AND record their own phases (so a later round replays

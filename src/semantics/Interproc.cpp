@@ -83,14 +83,23 @@ unsigned SuperGraph::getOrCreateInstance(RoutineDecl *R, ActivationToken Tok) {
     Inst.Frame.redirect(Formal, Tok.Roots[RootIdx++]);
   }
 
-  // Shared keys: every variable of every proper ancestor, plus the roots.
-  std::set<const VarDecl *> Shared;
+  // Shared keys: every variable of every proper ancestor in declaration
+  // order (outermost routine first), then the roots not already among
+  // them. A program-determined order keeps the store layout, and so the
+  // memory figure, independent of where the allocator put the decls.
+  std::vector<const RoutineDecl *> Ancestors;
   for (const RoutineDecl *A = R->parent(); A; A = A->parent())
-    for (VarDecl *V : A->ownedVars())
-      Shared.insert(V);
+    Ancestors.push_back(A);
+  std::set<const VarDecl *> Seen;
+  auto Share = [&](const VarDecl *V) {
+    if (Seen.insert(V).second)
+      Inst.SharedKeys.push_back(V);
+  };
+  for (auto A = Ancestors.rbegin(); A != Ancestors.rend(); ++A)
+    for (const VarDecl *V : (*A)->ownedVars())
+      Share(V);
   for (const VarDecl *Root : Tok.Roots)
-    Shared.insert(Root);
-  Inst.SharedKeys.assign(Shared.begin(), Shared.end());
+    Share(Root);
   Inst.AccessedKeys = Inst.SharedKeys;
 
   InstanceByToken[Tok] = Inst.Id;

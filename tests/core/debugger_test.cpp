@@ -1,34 +1,39 @@
-//===- tests/core/debugger_test.cpp - AbstractDebugger API tests ----------===//
+//===- tests/core/debugger_test.cpp - Findings of one analysis run --------===//
 
-#include "core/AbstractDebugger.h"
+#include "core/AnalysisSession.h"
 #include "frontend/PaperPrograms.h"
 
 #include <gtest/gtest.h>
+
+#include <optional>
 
 using namespace syntox;
 
 namespace {
 
-std::unique_ptr<AbstractDebugger>
-makeDebugger(const std::string &Source, bool TerminationGoal = false) {
+std::optional<AnalysisResult> analyze(const std::string &Source,
+                                      AnalysisOptions Opts = {}) {
   DiagnosticsEngine Diags;
-  AbstractDebugger::Options Opts;
-  Opts.TerminationGoal = TerminationGoal;
-  auto Dbg = AbstractDebugger::create(Source, Diags, Opts);
-  EXPECT_NE(Dbg, nullptr) << Diags.str();
-  if (Dbg)
-    Dbg->analyze();
-  return Dbg;
+  auto Session = AnalysisSession::create(Source, Diags, Opts);
+  EXPECT_NE(Session, nullptr) << Diags.str();
+  if (!Session)
+    return std::nullopt;
+  return Session->run();
 }
 
-bool hasCondition(const AbstractDebugger &Dbg, const std::string &Needle) {
+std::optional<AnalysisResult> makeDebugger(const std::string &Source,
+                                           bool TerminationGoal = false) {
+  return analyze(Source, AnalysisOptions().terminationGoal(TerminationGoal));
+}
+
+bool hasCondition(const AnalysisResult &Dbg, const std::string &Needle) {
   for (const NecessaryCondition &C : Dbg.conditions())
     if (C.str().find(Needle) != std::string::npos)
       return true;
   return false;
 }
 
-std::string allConditions(const AbstractDebugger &Dbg) {
+std::string allConditions(const AnalysisResult &Dbg) {
   std::string Out;
   for (const NecessaryCondition &C : Dbg.conditions())
     Out += C.str() + "\n";
@@ -37,32 +42,32 @@ std::string allConditions(const AbstractDebugger &Dbg) {
 
 TEST(AbstractDebuggerTest, CreateRejectsBadSource) {
   DiagnosticsEngine Diags;
-  EXPECT_EQ(AbstractDebugger::create("program p; begin x := end.", Diags),
+  EXPECT_EQ(AnalysisSession::create("program p; begin x := end.", Diags),
             nullptr);
   EXPECT_TRUE(Diags.hasErrors());
 }
 
 TEST(AbstractDebuggerTest, ForProgramReportsNCondition) {
   auto Dbg = makeDebugger(paper::ForProgram);
-  ASSERT_NE(Dbg, nullptr);
+  ASSERT_TRUE(Dbg);
   EXPECT_TRUE(hasCondition(*Dbg, "n in [-oo, -1]")) << allConditions(*Dbg);
 }
 
 TEST(AbstractDebuggerTest, WhileProgramReportsBCondition) {
   auto Dbg = makeDebugger(paper::WhileProgram, /*TerminationGoal=*/true);
-  ASSERT_NE(Dbg, nullptr);
+  ASSERT_TRUE(Dbg);
   EXPECT_TRUE(hasCondition(*Dbg, "b = false")) << allConditions(*Dbg);
 }
 
 TEST(AbstractDebuggerTest, FactProgramReportsXCondition) {
   auto Dbg = makeDebugger(paper::FactProgram, /*TerminationGoal=*/true);
-  ASSERT_NE(Dbg, nullptr);
+  ASSERT_TRUE(Dbg);
   EXPECT_TRUE(hasCondition(*Dbg, "x in [0, +oo]")) << allConditions(*Dbg);
 }
 
 TEST(AbstractDebuggerTest, SelectProgramReportsNCondition) {
   auto Dbg = makeDebugger(paper::SelectProgram, /*TerminationGoal=*/true);
-  ASSERT_NE(Dbg, nullptr);
+  ASSERT_TRUE(Dbg);
   EXPECT_TRUE(hasCondition(*Dbg, "n in [-oo, 10]")) << allConditions(*Dbg);
 }
 
@@ -70,7 +75,7 @@ TEST(AbstractDebuggerTest, ConditionsAreReportedAtOrigin) {
   // The condition must be reported once near the read, not at each of
   // the downstream uses.
   auto Dbg = makeDebugger(paper::ForProgram);
-  ASSERT_NE(Dbg, nullptr);
+  ASSERT_TRUE(Dbg);
   unsigned NConditions = 0;
   for (const NecessaryCondition &C : Dbg->conditions())
     NConditions += C.Var == "n";
@@ -80,7 +85,7 @@ TEST(AbstractDebuggerTest, ConditionsAreReportedAtOrigin) {
 TEST(AbstractDebuggerTest, InvariantWarnings) {
   auto Dbg = makeDebugger("program p; var i : integer;\n"
                           "begin read(i); invariant(i >= 0) end.");
-  ASSERT_NE(Dbg, nullptr);
+  ASSERT_TRUE(Dbg);
   ASSERT_EQ(Dbg->invariantWarnings().size(), 1u);
   EXPECT_NE(Dbg->invariantWarnings()[0].Message.find("may be violated"),
             std::string::npos);
@@ -89,14 +94,14 @@ TEST(AbstractDebuggerTest, InvariantWarnings) {
 TEST(AbstractDebuggerTest, ProvedInvariantHasNoWarning) {
   auto Dbg = makeDebugger("program p; var i : integer;\n"
                           "begin i := 5; invariant(i = 5) end.");
-  ASSERT_NE(Dbg, nullptr);
+  ASSERT_TRUE(Dbg);
   EXPECT_TRUE(Dbg->invariantWarnings().empty());
 }
 
 TEST(AbstractDebuggerTest, AlwaysViolatedInvariant) {
   auto Dbg = makeDebugger("program p; var i : integer;\n"
                           "begin i := 5; invariant(i = 6) end.");
-  ASSERT_NE(Dbg, nullptr);
+  ASSERT_TRUE(Dbg);
   ASSERT_EQ(Dbg->invariantWarnings().size(), 1u);
   EXPECT_NE(Dbg->invariantWarnings()[0].Message.find("always violated"),
             std::string::npos);
@@ -119,7 +124,7 @@ TEST(AbstractDebuggerTest, MainStatesRendersStores) {
   // it there and the inspector flags it as pruned instead of rendering
   // a value.
   auto Dbg = makeDebugger(Source);
-  ASSERT_NE(Dbg, nullptr);
+  ASSERT_TRUE(Dbg);
   std::vector<PointState> States = Dbg->mainStates("exit");
   ASSERT_FALSE(States.empty());
   bool Pruned = false;
@@ -132,11 +137,8 @@ TEST(AbstractDebuggerTest, MainStatesRendersStores) {
   EXPECT_TRUE(Pruned);
 
   // Unpruned, the exit store renders the loop's final value.
-  DiagnosticsEngine Diags;
-  auto Full = AbstractDebugger::create(
-      Source, Diags, AbstractDebugger::Options().prune(false));
-  ASSERT_NE(Full, nullptr) << Diags.str();
-  Full->analyze();
+  auto Full = analyze(Source, AnalysisOptions().prune(false));
+  ASSERT_TRUE(Full);
   bool Found = false;
   for (const PointState &S : Full->mainStates("exit")) {
     EXPECT_TRUE(S.PrunedVars.empty());
@@ -148,7 +150,7 @@ TEST(AbstractDebuggerTest, MainStatesRendersStores) {
 
 TEST(AbstractDebuggerTest, StatsArePopulated) {
   auto Dbg = makeDebugger(paper::McCarthyProgram);
-  ASSERT_NE(Dbg, nullptr);
+  ASSERT_TRUE(Dbg);
   const AnalysisStats &S = Dbg->stats();
   EXPECT_GT(S.ControlPoints, 100u); // after unfolding (11 instances)
   EXPECT_GT(S.Unions, 0u);
@@ -161,7 +163,7 @@ TEST(AbstractDebuggerTest, StatsArePopulated) {
 
 TEST(AbstractDebuggerTest, ChecksAccessible) {
   auto Dbg = makeDebugger(paper::BinarySearchProgram);
-  ASSERT_NE(Dbg, nullptr);
+  ASSERT_TRUE(Dbg);
   EXPECT_TRUE(Dbg->checks().allSafe());
 }
 
@@ -169,12 +171,9 @@ TEST(AbstractDebuggerTest, McCarthyInvariantStudy) {
   // m's last read is the writeln at the very end, which evaluates no
   // checks, so m is dead at the exit and pruned by default; disable
   // pruning to inspect the final value the invariant pins.
-  DiagnosticsEngine Diags;
-  auto Dbg =
-      AbstractDebugger::create(paper::McCarthyWithInvariant, Diags,
-                               AbstractDebugger::Options().prune(false));
-  ASSERT_NE(Dbg, nullptr) << Diags.str();
-  Dbg->analyze();
+  auto Dbg = analyze(paper::McCarthyWithInvariant,
+                     AnalysisOptions().prune(false));
+  ASSERT_TRUE(Dbg);
   // m = 91 is visible in the final state at the exit.
   bool Found = false;
   for (const PointState &S : Dbg->mainStates("exit of mccarthy"))
@@ -183,64 +182,52 @@ TEST(AbstractDebuggerTest, McCarthyInvariantStudy) {
   EXPECT_TRUE(Found);
 }
 
-TEST(AbstractDebuggerTest, QueriesBeforeAnalyzeThrow) {
-  DiagnosticsEngine Diags;
-  auto Dbg = AbstractDebugger::create(
-      "program p; var i : integer; begin i := 1 end.", Diags);
-  ASSERT_NE(Dbg, nullptr);
-  EXPECT_FALSE(Dbg->analyzed());
-  EXPECT_THROW(Dbg->stats(), std::logic_error);
-  EXPECT_THROW(Dbg->conditions(), std::logic_error);
-  EXPECT_THROW(Dbg->invariantWarnings(), std::logic_error);
-  EXPECT_THROW(Dbg->checks(), std::logic_error);
-  EXPECT_THROW(Dbg->someExecutionMaySatisfySpec(), std::logic_error);
-  EXPECT_THROW(Dbg->stateAt(SourceLoc(1, 0)), std::logic_error);
-  EXPECT_THROW(Dbg->mainStates(), std::logic_error);
-  Dbg->analyze();
-  EXPECT_TRUE(Dbg->analyzed());
-  EXPECT_NO_THROW(Dbg->stats());
-  EXPECT_NO_THROW(Dbg->conditions());
-}
-
 TEST(AbstractDebuggerTest, RepeatedAnalyzeWarmStartsAndIsIdentical) {
-  DiagnosticsEngine Diags;
-  AbstractDebugger::Options Opts;
+  AnalysisOptions Opts;
   Opts.TerminationGoal = true;
   Opts.BackwardRounds = 3;
-  auto Dbg = AbstractDebugger::create(paper::McCarthyProgram, Diags, Opts);
-  ASSERT_NE(Dbg, nullptr) << Diags.str();
+  DiagnosticsEngine Diags;
+  auto Session = AnalysisSession::create(paper::McCarthyProgram, Diags, Opts);
+  ASSERT_NE(Session, nullptr) << Diags.str();
 
-  Dbg->analyze();
-  std::string FirstConditions = allConditions(*Dbg);
-  size_t FirstWarnings = Dbg->invariantWarnings().size();
+  std::string FirstConditions;
+  size_t FirstWarnings = 0;
   json::Value FirstStates = json::Value::array();
-  for (const PointState &S : Dbg->mainStates())
-    FirstStates.push(S.toJson());
+  {
+    AnalysisResult First = Session->run();
+    FirstConditions = allConditions(First);
+    FirstWarnings = First.invariantWarnings().size();
+    for (const PointState &S : First.mainStates())
+      FirstStates.push(S.toJson());
+  }
 
-  // A second analyze() on the same engine warm-starts from the first
-  // run's recordings: the stable bulk of the chain replays (skips > 0)
-  // and every published result is unchanged.
-  Dbg->analyze();
-  EXPECT_GT(Dbg->stats().ComponentSkips, 0u);
-  EXPECT_GT(Dbg->stats().SkippedSteps, 0u);
-  EXPECT_EQ(allConditions(*Dbg), FirstConditions);
-  EXPECT_EQ(Dbg->invariantWarnings().size(), FirstWarnings);
+  // With the first result dropped, a second run re-analyzes the same
+  // engine and warm-starts from the first run's recordings: the stable
+  // bulk of the chain replays (skips > 0) and every published result is
+  // unchanged.
+  AnalysisResult Second = Session->run();
+  EXPECT_EQ(Session->metrics().counterValue("session.engine_reuses"), 1u);
+  EXPECT_GT(Second.stats().ComponentSkips, 0u);
+  EXPECT_GT(Second.stats().SkippedSteps, 0u);
+  EXPECT_EQ(allConditions(Second), FirstConditions);
+  EXPECT_EQ(Second.invariantWarnings().size(), FirstWarnings);
   json::Value SecondStates = json::Value::array();
-  for (const PointState &S : Dbg->mainStates())
+  for (const PointState &S : Second.mainStates())
     SecondStates.push(S.toJson());
   EXPECT_EQ(SecondStates.str(), FirstStates.str());
 
-  // With warm starts off, a repeated analyze() records nothing and
-  // skips nothing — it reproduces the cold run exactly.
+  // With warm starts off, a repeated run records nothing and skips
+  // nothing — it reproduces the cold run exactly.
   Opts.WarmStart = false;
   DiagnosticsEngine ColdDiags;
-  auto Cold = AbstractDebugger::create(paper::McCarthyProgram, ColdDiags, Opts);
+  auto Cold = AnalysisSession::create(paper::McCarthyProgram, ColdDiags, Opts);
   ASSERT_NE(Cold, nullptr) << ColdDiags.str();
-  Cold->analyze();
-  Cold->analyze();
-  EXPECT_EQ(Cold->stats().ComponentSkips, 0u);
-  EXPECT_EQ(Cold->stats().SkippedSteps, 0u);
-  EXPECT_EQ(allConditions(*Cold), FirstConditions);
+  Cold->run();
+  AnalysisResult Again = Cold->run();
+  EXPECT_EQ(Cold->metrics().counterValue("session.engine_reuses"), 1u);
+  EXPECT_EQ(Again.stats().ComponentSkips, 0u);
+  EXPECT_EQ(Again.stats().SkippedSteps, 0u);
+  EXPECT_EQ(allConditions(Again), FirstConditions);
 }
 
 } // namespace

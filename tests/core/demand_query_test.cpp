@@ -10,10 +10,9 @@
 //    solve across all three iteration strategies and all three warm
 //    states (cold, warm, cache-loaded), with per-node step audits
 //    proving the out-of-cone zero-work guarantee,
-//  - the session/result API contracts: pre-run demand queries throw
-//    std::logic_error exactly like stateAt(), out-of-cone queries are
-//    refused with std::out_of_range, never answered from unspecified
-//    state.
+//  - the session/result API contracts: a demand query after a full run
+//    answers from a fresh engine, out-of-cone queries are refused with
+//    std::out_of_range, never answered from unspecified state.
 //
 //===----------------------------------------------------------------------===//
 
@@ -354,49 +353,80 @@ TEST(DemandQueryTest, DemandCheckMatchesFullClassification) {
 }
 
 //===----------------------------------------------------------------------===//
-// API compatibility: pre-run and out-of-cone behavior
+// API contracts: run-kind composition and out-of-cone behavior
 //===----------------------------------------------------------------------===//
 
-TEST(DemandApiCompatTest, PreRunQueriesThrowLogicErrorOnBothPaths) {
-  // The deprecated AbstractDebugger path: before analyze(), stateAt()
-  // throws std::logic_error — and the new demand entry points must
-  // behave exactly the same before analyzeDemand().
+TEST(DemandApiCompatTest, FullThenDemandUsesAFreshEngine) {
+  // A demand run would overwrite an analyzed engine's published
+  // results, so a demand query after a full run never recycles that
+  // engine — not even once the full result is dropped — and answers
+  // exactly what the full result did.
   DiagnosticsEngine Diags;
-  auto Dbg = AbstractDebugger::create(paper::ForProgram, Diags);
-  ASSERT_NE(Dbg, nullptr) << Diags.str();
+  auto Session = AnalysisSession::create(paper::ForProgram, Diags);
+  ASSERT_NE(Session, nullptr) << Diags.str();
+  // Line 6 of the For program is `read(n)`.
+  const SourceLoc Loc(6, 0);
+  std::vector<std::string> Full;
+  {
+    AnalysisResult R = Session->run();
+    for (const PointState &S : R.stateAt(Loc))
+      Full.push_back(S.toJson().str());
+  }
+  ASSERT_FALSE(Full.empty());
+  uint64_t Reuses =
+      Session->metrics().counterValue("session.engine_reuses");
 
-  EXPECT_THROW(Dbg->stateAt(SourceLoc(5, 0)), std::logic_error);
-  EXPECT_THROW(Dbg->conditions(), std::logic_error);
-  EXPECT_THROW(Dbg->demandStateAt(SourceLoc(5, 0)), std::logic_error);
-  EXPECT_THROW(Dbg->demandCovers(SourceLoc(5, 0)), std::logic_error);
-  EXPECT_THROW(Dbg->demandCheck(0), std::logic_error);
-  EXPECT_THROW(Dbg->demandConditions(), std::logic_error);
-  EXPECT_THROW(Dbg->demandInvariantWarnings(), std::logic_error);
-  EXPECT_THROW(Dbg->stats(), std::logic_error);
-
-  // After a demand run the demand queries answer, while the
-  // full-analysis queries still require analyze() — a partial solve
-  // must never satisfy the full-result guard.
-  Dbg->analyzeDemand(DemandSpec::point(SourceLoc(5, 0)));
-  EXPECT_NO_THROW(Dbg->demandStateAt(SourceLoc(5, 0)));
-  EXPECT_NO_THROW(Dbg->stats());
-  EXPECT_THROW(Dbg->stateAt(SourceLoc(5, 0)), std::logic_error);
-  EXPECT_THROW(Dbg->conditions(), std::logic_error);
-  EXPECT_THROW(Dbg->checks(), std::logic_error);
+  DemandResult D = Session->demandStateAt(Loc);
+  EXPECT_EQ(Session->metrics().counterValue("session.engine_reuses"),
+            Reuses);
+  std::vector<std::string> Demand;
+  for (const PointState &S : D.states())
+    Demand.push_back(S.toJson().str());
+  EXPECT_EQ(Demand, Full);
 }
 
-TEST(DemandApiCompatTest, FullThenDemandIsRefused) {
-  // A demand run would overwrite the published full-analysis state, so
-  // it is refused on an analyzed debugger (the session API always uses
-  // a fresh engine per query).
+TEST(DemandApiCompatTest, DemandThenFullUsesAFreshEngine) {
+  // A demand engine's warm chain only ever held a cone-restricted
+  // replay, so a full run after a demand query never recycles that
+  // engine — not even once the demand result is dropped. The full run
+  // publishes exactly what a session that never asked a demand query
+  // does, and agrees with the demand answer on the queried point.
+  const SourceLoc Loc(6, 0); // `read(n)` in the For program
   DiagnosticsEngine Diags;
-  auto Dbg = AbstractDebugger::create(paper::ForProgram, Diags);
-  ASSERT_NE(Dbg, nullptr) << Diags.str();
-  Dbg->analyze();
-  EXPECT_THROW(Dbg->analyzeDemand(DemandSpec::point(SourceLoc(5, 0))),
-               std::logic_error);
-  // analyze() results stay live and queryable.
-  EXPECT_NO_THROW(Dbg->stateAt(SourceLoc(5, 0)));
+  auto Session = AnalysisSession::create(paper::ForProgram, Diags);
+  ASSERT_NE(Session, nullptr) << Diags.str();
+  std::vector<std::string> Demand;
+  {
+    DemandResult D = Session->demandStateAt(Loc);
+    for (const PointState &S : D.states())
+      Demand.push_back(S.toJson().str());
+  }
+  ASSERT_FALSE(Demand.empty());
+  uint64_t Reuses =
+      Session->metrics().counterValue("session.engine_reuses");
+
+  AnalysisResult Full = Session->run();
+  EXPECT_EQ(Session->metrics().counterValue("session.engine_reuses"),
+            Reuses);
+  std::vector<std::string> FullStates;
+  for (const PointState &S : Full.stateAt(Loc))
+    FullStates.push_back(S.toJson().str());
+  EXPECT_EQ(FullStates, Demand);
+
+  DiagnosticsEngine FreshDiags;
+  auto Fresh = AnalysisSession::create(paper::ForProgram, FreshDiags);
+  ASSERT_NE(Fresh, nullptr) << FreshDiags.str();
+  AnalysisResult Cold = Fresh->run();
+  EXPECT_EQ(Full.toJson().find("conditions")->str(),
+            Cold.toJson().find("conditions")->str());
+  EXPECT_EQ(Full.toJson().find("checks")->str(),
+            Cold.toJson().find("checks")->str());
+  json::Value FullMain = json::Value::array(), ColdMain = json::Value::array();
+  for (const PointState &S : Full.mainStates())
+    FullMain.push(S.toJson());
+  for (const PointState &S : Cold.mainStates())
+    ColdMain.push(S.toJson());
+  EXPECT_EQ(FullMain.str(), ColdMain.str());
 }
 
 TEST(DemandApiCompatTest, OutOfConeQueriesAreRefused) {

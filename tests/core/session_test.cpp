@@ -5,6 +5,8 @@
 #include "support/Json.h"
 #include "support/Metrics.h"
 
+#include "../common/RandomProgramGen.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -42,35 +44,6 @@ TEST(AnalysisSessionTest, CreateRejectsBadSource) {
   EXPECT_TRUE(Diags.hasErrors());
 }
 
-TEST(AnalysisSessionTest, MigrationOldAndNewApiFindingsAgree) {
-  // The same program and options through the deprecated direct-debugger
-  // path and through the session must produce identical findings.
-  std::string McIntermittent = paper::McCarthyProgram;
-  McIntermittent.insert(McIntermittent.find("writeln(m)"),
-                        "intermittent(m = 91);\n  ");
-  for (const std::string &Source :
-       {std::string(paper::ForProgram), McIntermittent}) {
-    DiagnosticsEngine Diags;
-    auto Dbg = AbstractDebugger::create(Source, Diags);
-    ASSERT_NE(Dbg, nullptr);
-    Dbg->analyze();
-
-    auto Session = makeSession(Source);
-    ASSERT_NE(Session, nullptr);
-    AnalysisResult Result = Session->run();
-
-    EXPECT_EQ(conditionStrings(Dbg->conditions()),
-              conditionStrings(Result.conditions()));
-    EXPECT_EQ(Dbg->invariantWarnings().size(),
-              Result.invariantWarnings().size());
-    EXPECT_EQ(Dbg->checks().summary().Total, Result.checks().summary().Total);
-    EXPECT_EQ(Dbg->checks().summary().Safe, Result.checks().summary().Safe);
-    EXPECT_EQ(Dbg->someExecutionMaySatisfySpec(),
-              Result.someExecutionMaySatisfySpec());
-    EXPECT_EQ(Dbg->stats().ControlPoints, Result.stats().ControlPoints);
-  }
-}
-
 TEST(AnalysisSessionTest, ResultsSurviveLaterRuns) {
   auto Session = makeSession(paper::ForProgram);
   ASSERT_NE(Session, nullptr);
@@ -106,6 +79,57 @@ TEST(AnalysisSessionTest, StateAtQueriesTheStatementInspector) {
   EXPECT_TRUE(SawN);
   // A line with no control point yields no states, not an error.
   EXPECT_TRUE(Result.stateAt(SourceLoc(9999, 0)).empty());
+}
+
+TEST(AnalysisSessionTest, StateAtColumnNarrowsTheLine) {
+  // Two statements share line 5: a zero column answers for every point
+  // on the line, a non-zero column only for the points at that column,
+  // and the per-column answers partition the line's answer.
+  const char *Src = "program p;\n"
+                    "var a, b : integer;\n"
+                    "begin\n"
+                    "  read(a);\n"
+                    "  a := a + 1; b := a + 2;\n"
+                    "  writeln(b)\n"
+                    "end.\n";
+  auto Session = makeSession(Src);
+  ASSERT_NE(Session, nullptr);
+  AnalysisResult Result = Session->run();
+  std::vector<PointState> Line = Result.stateAt(SourceLoc(5, 0));
+  ASSERT_FALSE(Line.empty());
+
+  std::vector<uint32_t> Columns;
+  for (const PointState &S : Line) {
+    EXPECT_EQ(S.Loc.Line, 5u);
+    EXPECT_NE(S.Loc.Column, 0u);
+    if (std::find(Columns.begin(), Columns.end(), S.Loc.Column) ==
+        Columns.end())
+      Columns.push_back(S.Loc.Column);
+  }
+  ASSERT_GE(Columns.size(), 2u) << "both statements have a point";
+
+  size_t Answered = 0;
+  for (uint32_t Col : Columns) {
+    std::vector<PointState> At = Result.stateAt(SourceLoc(5, Col));
+    ASSERT_FALSE(At.empty()) << "column " << Col;
+    // The column's answer is the line's answer filtered to that column,
+    // in the same order.
+    std::vector<std::string> Want, Got;
+    for (const PointState &S : Line)
+      if (S.Loc.Column == Col)
+        Want.push_back(S.toJson().str());
+    for (const PointState &S : At)
+      Got.push_back(S.toJson().str());
+    EXPECT_EQ(Got, Want) << "column " << Col;
+    Answered += At.size();
+  }
+  EXPECT_EQ(Answered, Line.size());
+
+  // A column on the line where no point starts answers nothing.
+  uint32_t Unused = 1;
+  while (std::find(Columns.begin(), Columns.end(), Unused) != Columns.end())
+    ++Unused;
+  EXPECT_TRUE(Result.stateAt(SourceLoc(5, Unused)).empty());
 }
 
 TEST(AnalysisSessionTest, FindingsJsonRoundTripsAndMatchesSchema) {
@@ -449,6 +473,56 @@ TEST(AnalysisSessionTest, StoreDetachHookClearedWhenAQueryThrows) {
   EXPECT_EQ(trace::StoreDetachHook.load(), nullptr);
   Session->run();
   EXPECT_EQ(trace::StoreDetachHook.load(), nullptr);
+}
+
+TEST(AnalysisSessionTest, MemoryFigureIsIndependentOfHeapHistory) {
+  // Copy-in/copy-out loops an instance's SharedKeys, which shape the
+  // store payloads and hence the memory figure. Ordered by declaration
+  // they are a function of the program alone; ordered by address they
+  // changed with whatever the process had allocated and freed before.
+  using Gen = test::ProgramGenerator;
+  AnalysisOptions Opts = AnalysisOptions().prune(false);
+  std::string Source = Gen(35).generate(Gen::Family::AliasingHeavy);
+  uint64_t FirstBytes = 0;
+  {
+    auto First = makeSession(Source, Opts);
+    ASSERT_NE(First, nullptr);
+    FirstBytes = First->run().stats().BytesUsed;
+  }
+  {
+    auto Throwaway =
+        makeSession(Gen(36).generate(Gen::Family::AliasingHeavy), Opts);
+    ASSERT_NE(Throwaway, nullptr);
+    Throwaway->run();
+  }
+  auto Session = makeSession(Source, Opts);
+  ASSERT_NE(Session, nullptr);
+  AnalysisResult R = Session->run();
+  EXPECT_EQ(R.stats().BytesUsed, FirstBytes);
+
+  bool SawRoots = false;
+  for (const Instance &I : R.analyzer().graph().instances()) {
+    // The ancestors' variables come first, in declaration (= store
+    // slot) order...
+    size_t NumAncestorVars = 0;
+    for (const RoutineDecl *A = I.R->parent(); A; A = A->parent())
+      NumAncestorVars += A->ownedVars().size();
+    ASSERT_GE(I.SharedKeys.size(), NumAncestorVars);
+    for (size_t K = 1; K < NumAncestorVars; ++K)
+      EXPECT_LT(I.SharedKeys[K - 1]->storeSlot(),
+                I.SharedKeys[K]->storeSlot());
+    // ...then the token roots that are not among them, in token order.
+    auto AncestorEnd = I.SharedKeys.begin() + NumAncestorVars;
+    std::vector<const VarDecl *> Roots;
+    for (const VarDecl *Root : I.Tok.Roots)
+      if (std::find(I.SharedKeys.begin(), AncestorEnd, Root) == AncestorEnd &&
+          std::find(Roots.begin(), Roots.end(), Root) == Roots.end())
+        Roots.push_back(Root);
+    EXPECT_EQ(std::vector<const VarDecl *>(AncestorEnd, I.SharedKeys.end()),
+              Roots);
+    SawRoots |= !I.Tok.Roots.empty();
+  }
+  EXPECT_TRUE(SawRoots);
 }
 
 } // namespace
