@@ -758,6 +758,9 @@ check(by_id["cold"]["status"] == "ok", "cold analyze failed")
 check(by_id["warm"]["status"] == "ok", "warm analyze failed")
 check(findings(by_id["cold"]) == findings(by_id["warm"]),
       "warm findings differ from cold findings")
+cold_counters = by_id["cold"]["findings"]["metrics"]["counters"]
+check(cold_counters.get("solver.ascending_steps", 0) > 0,
+      "cold findings carry no session metrics")
 check(by_id[""]["status"] == "error", "malformed line not answered error")
 check(by_id["badopt"]["status"] == "error"
       and "cache_key" in by_id["badopt"]["error"],

@@ -70,8 +70,9 @@ AnalysisOutcome runRequest(AnalysisSession &S,
                                std::nullopt);
 
 /// One-shot: validates \p R's source and runs it. Frontend errors land
-/// in the outcome (diagnostics rendered into Error). Metrics are routed
-/// wherever R.Opts.Telem.Metrics points (a private registry otherwise).
+/// in the outcome (diagnostics rendered into Error). Metrics go to the
+/// session's own registry (the findings snapshot) and, when
+/// R.Opts.Telem.Metrics is set, to that registry as well.
 AnalysisOutcome runRequest(AnalysisRequest R);
 
 } // namespace syntox

@@ -170,8 +170,13 @@ void AnalysisSession::flushTrace(TraceSink &Sink) {
 
 void AnalysisSession::wireTelemetry() {
   Opts.Telem.Trace = Trace.get();
-  if (!Opts.Telem.Metrics)
+  // The engine always reports into the session's registry, so each
+  // result's snapshot holds this session's counts; a caller-supplied
+  // registry receives every update as well.
+  if (Opts.Telem.Metrics != &Metrics) {
+    Metrics.mirrorTo(Opts.Telem.Metrics);
     Opts.Telem.Metrics = &Metrics;
+  }
 }
 
 std::shared_ptr<AbstractDebugger> AnalysisSession::engineForRun(

@@ -80,9 +80,11 @@ public:
   /// Figure 2 statistics of this run.
   const AnalysisStats &stats() const { return analyzer().stats(); }
 
-  /// Metrics snapshot taken when the run finished. Counters accumulate
-  /// over the owning session's lifetime, so in a multi-run session this
-  /// is "session totals as of this run".
+  /// Snapshot of the owning session's own registry taken when the run
+  /// finished, also when the caller routed metrics to a registry of its
+  /// own (that registry receives the same updates, summed over all its
+  /// sessions). Counters accumulate over the session's lifetime, so in
+  /// a multi-run session this is "session totals as of this run".
   const json::Value &metrics() const { return MetricsSnapshot; }
 
   /// The abstract state at every control point matching \p Loc — all
@@ -163,7 +165,8 @@ public:
   /// carry the cone accounting).
   const AnalysisStats &stats() const { return analyzer().stats(); }
 
-  /// Metrics snapshot taken when the query finished.
+  /// Snapshot of the owning session's registry taken when the query
+  /// finished (same contract as AnalysisResult::metrics()).
   const json::Value &metrics() const { return MetricsSnapshot; }
 
   /// The partial-findings document — see schemas/demand.schema.json.
@@ -190,8 +193,8 @@ public:
   /// Parses, validates and builds the engine the first run uses.
   /// Returns null (with diagnostics in \p Diags) when the program has
   /// frontend errors. Telemetry is wired before the build: metrics go
-  /// to Opts.Telem.Metrics, or to the session's own registry when that
-  /// is null.
+  /// to the session's own registry, which mirrors every update into
+  /// Opts.Telem.Metrics when the caller set one.
   static std::unique_ptr<AnalysisSession>
   create(std::string Source, DiagnosticsEngine &Diags,
          AnalysisOptions Opts = {});
@@ -214,7 +217,8 @@ public:
   void flushTrace(TraceSink &Sink);
 
   /// The session-owned metrics registry (live values; results carry
-  /// frozen snapshots).
+  /// frozen snapshots). It holds this session's counts only, whatever
+  /// registry the caller supplied.
   MetricsRegistry &metrics() { return Metrics; }
 
   /// Runs the full analysis schedule and returns the frozen findings.
@@ -246,8 +250,9 @@ private:
   AnalysisSession() = default;
   DemandResult runDemandQuery(const DemandSpec &Spec);
   /// Points the options' telemetry at the session's recorder (null
-  /// before enableTracing()) and, unless the caller supplied one, at
-  /// the session's metrics registry.
+  /// before enableTracing()) and at the session's metrics registry,
+  /// mirroring that registry into the one the caller put in the options
+  /// (if any).
   void wireTelemetry();
   /// The engine the next run will use, after wiring the telemetry: the
   /// kept one when it is uniquely owned, compatible with the current

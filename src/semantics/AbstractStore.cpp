@@ -177,6 +177,58 @@ template <bool HasCong> inline bool rowLeq(const Row &A, const Row &B) {
   return true;
 }
 
+/// Writes one output row (the congruence plane only in HasCong kernels).
+template <bool HasCong>
+inline void storeRow(StorePayload &P, size_t S, const Row &V) {
+  P.Lo[S] = V.Lo;
+  P.Hi[S] = V.Hi;
+  if constexpr (HasCong) {
+    P.CM[S] = V.M;
+    P.CR[S] = V.R;
+  }
+}
+
+/// A kernel's count of walked bitmap words, added to the
+/// store.kernel_blocks counter once, on whichever path the kernel
+/// returns by.
+struct BlockTally {
+  std::atomic<uint64_t> &Sink;
+  uint64_t N = 0;
+  ~BlockTally() { Sink.fetch_add(N, std::memory_order_relaxed); }
+};
+
+/// The subsumption walk: true when X <= Y, i.e. every non-top constraint
+/// of Y holds in X. A slot absent in X is top, which is below Y's entry
+/// only when that entry is top too; a null payload is the top store.
+/// Stops at the first failing slot and adds every non-empty word of Y
+/// it visited to \p Blocks. leq is this walk; the delta passes of join,
+/// meet and widen are it with the operands in either order.
+template <bool HasCong>
+bool subsumed(const StorePayload *PX, const StorePayload *PY, int64_t MinV,
+              int64_t MaxV, uint64_t &Blocks) {
+  const size_t WX = wordsOf(PX), WY = wordsOf(PY);
+  for (size_t W = 0; W < WY; ++W) {
+    uint64_t MY = PY->Bits[W];
+    if (!MY)
+      continue;
+    ++Blocks;
+    uint64_t MX = W < WX ? PX->Bits[W] : 0;
+    uint64_t BoolW = PY->BoolBits[W];
+    size_t Base = W * 64;
+    while (MY) {
+      unsigned Bit = static_cast<unsigned>(__builtin_ctzll(MY));
+      MY &= MY - 1;
+      size_t S = Base + Bit;
+      Row YV = loadRow<HasCong>(PY, S);
+      if (rowTop<HasCong>(YV, laneOf(BoolW, Bit, MinV, MaxV)))
+        continue; // a top entry constrains nothing
+      if (!((MX >> Bit) & 1) || !rowLeq<HasCong>(loadRow<HasCong>(PX, S), YV))
+        return false;
+    }
+  }
+  return true;
+}
+
 /// True when this store operation must run the congruence-plane
 /// kernels. A payload states its need through its imprint; empty
 /// payloads (never written, possibly default-imprinted Interval) are
@@ -199,6 +251,73 @@ inline DomainKind outKind(const StorePayload *PA, const StorePayload *PB) {
   return DomainKind::Interval;
 }
 
+/// An output payload of \p Cap slots with its row planes sized and no
+/// slot present; the caller fills BoolBits and Keys.
+template <bool HasCong>
+std::shared_ptr<StorePayload> freshPayload(const StorePayload *PA,
+                                           const StorePayload *PB,
+                                           size_t Cap) {
+  auto Out = std::make_shared<StorePayload>();
+  Out->DK = HasCong ? outKind(PA, PB) : DomainKind::Interval;
+  Out->Lo.resize(Cap);
+  Out->Hi.resize(Cap);
+  if constexpr (HasCong) {
+    Out->CM.resize(Cap);
+    Out->CR.resize(Cap);
+  }
+  Out->Bits.assign((Cap + 63) / 64, 0);
+  return Out;
+}
+
+/// The join/widen output: only slots constrained in *both* stores stay
+/// constrained. A bottom row yields the other operand's row; otherwise
+/// \p Combine(AV, BV, Lane, IsBool) makes the row, written straight
+/// from the input rows (no AbsValue materialization). Rows that come
+/// out top are dropped. The capacity is the smaller of the two (a null
+/// \p PB, the top store, leaves nothing); bool lanes and keys come from
+/// A.
+template <bool HasCong, typename CombineFn>
+std::shared_ptr<StorePayload>
+intersectCombine(const StorePayload *PA, const StorePayload *PB, int64_t MinV,
+                 int64_t MaxV, uint64_t &Blocks, CombineFn Combine) {
+  std::shared_ptr<StorePayload> Out = freshPayload<HasCong>(
+      PA, PB, std::min(PA->capacity(), PB ? PB->capacity() : 0));
+  StorePayload &PO = *Out;
+  const size_t Words = PO.Bits.size();
+  PO.BoolBits.assign(PA->BoolBits.begin(), PA->BoolBits.begin() + Words);
+  PO.Keys = PA->Keys;
+  uint32_t Num = 0;
+  for (size_t W = 0; W < Words; ++W) {
+    uint64_t M = PA->Bits[W] & PB->Bits[W];
+    if (!M)
+      continue;
+    ++Blocks;
+    uint64_t BoolW = PO.BoolBits[W];
+    size_t Base = W * 64;
+    uint64_t OutBits = 0;
+    while (M) {
+      unsigned Bit = static_cast<unsigned>(__builtin_ctzll(M));
+      M &= M - 1;
+      size_t S = Base + Bit;
+      Row AV = loadRow<HasCong>(PA, S);
+      Row BV = loadRow<HasCong>(PB, S);
+      bool IsBool = (BoolW >> Bit) & 1;
+      Lane L{IsBool ? 0 : MinV, IsBool ? 1 : MaxV};
+      Row R = rowBot<HasCong>(AV)   ? BV
+              : rowBot<HasCong>(BV) ? AV
+                                    : Combine(AV, BV, L, IsBool);
+      if (rowTop<HasCong>(R, L))
+        continue; // skip entries that became top
+      storeRow<HasCong>(PO, S, R);
+      OutBits |= uint64_t(1) << Bit;
+    }
+    PO.Bits[W] = OutBits;
+    Num += static_cast<uint32_t>(__builtin_popcountll(OutBits));
+  }
+  PO.NumPresent = Num;
+  return Out;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -207,55 +326,16 @@ inline DomainKind outKind(const StorePayload *PA, const StorePayload *PB) {
 
 template <bool HasCong>
 bool StoreOps::leqK(const AbstractStore &A, const AbstractStore &B) const {
-  if (A.isBottom())
-    return true;
-  if (B.isBottom())
-    return false;
-  // Identical payloads are equal, and leq is reflexive.
-  if (A.samePayload(B))
-    return true;
-  if (!B.P)
-    return true; // B is top
-  // A <= B iff every constraint of B is implied by A. Slots absent in A
-  // are top, which is only below B's entry if that entry is top too.
-  const StorePayload *PA = A.P.get(), *PB = B.P.get();
-  const int64_t MinV = D.minValue(), MaxV = D.maxValue();
-  const size_t WA = wordsOf(PA), WB = wordsOf(PB);
-  uint64_t Blocks = 0;
-  for (size_t W = 0; W < WB; ++W) {
-    uint64_t MB = PB->Bits[W];
-    if (!MB)
-      continue;
-    ++Blocks;
-    uint64_t MA = W < WA ? PA->Bits[W] : 0;
-    uint64_t BoolW = PB->BoolBits[W];
-    size_t Base = W * 64;
-    while (MB) {
-      unsigned Bit = static_cast<unsigned>(__builtin_ctzll(MB));
-      MB &= MB - 1;
-      size_t S = Base + Bit;
-      Row BV = loadRow<HasCong>(PB, S);
-      Lane L = laneOf(BoolW, Bit, MinV, MaxV);
-      if (rowTop<HasCong>(BV, L))
-        continue; // top BV constrains nothing
-      if (!((MA >> Bit) & 1)) {
-        KernelBlocks.fetch_add(Blocks, std::memory_order_relaxed);
-        return false; // top !<= a real constraint
-      }
-      if (!rowLeq<HasCong>(loadRow<HasCong>(PA, S), BV)) {
-        KernelBlocks.fetch_add(Blocks, std::memory_order_relaxed);
-        return false;
-      }
-    }
-  }
-  KernelBlocks.fetch_add(Blocks, std::memory_order_relaxed);
-  return true;
+  BlockTally Blocks{KernelBlocks};
+  return subsumed<HasCong>(A.P.get(), B.P.get(), D.minValue(), D.maxValue(),
+                           Blocks.N);
 }
 
-// The public wrappers repeat the kernels' O(1) early-outs *before* the
-// wantCong dispatch: the solver's convergence checks resolve on these
-// paths almost every call, and the dispatch's payload-header loads are
-// measurable there (bench_store equal_ptr/join_same columns).
+// The public wrappers take the O(1) early-outs (bottom, top, shared
+// payload) *before* the wantCong dispatch, and the kernel bodies assume
+// them: the solver's convergence checks resolve on these paths almost
+// every call, and the dispatch's payload-header loads are measurable
+// there (bench_store equal_ptr/join_same columns).
 bool StoreOps::leq(const AbstractStore &A, const AbstractStore &B) const {
   if (A.isBottom())
     return true;
@@ -269,13 +349,6 @@ bool StoreOps::leq(const AbstractStore &A, const AbstractStore &B) const {
 
 template <bool HasCong>
 bool StoreOps::equalK(const AbstractStore &A, const AbstractStore &B) const {
-  if (A.isBottom() || B.isBottom())
-    return A.isBottom() == B.isBottom();
-  // Pointer-stable convergence fast path: the delta-aware ops return
-  // their input payload when nothing changed, so the solver's equality
-  // checks usually resolve right here.
-  if (A.samePayload(B))
-    return true;
   const StorePayload *PA = A.P.get(), *PB = B.P.get();
   // Memoized-hash short-circuit: differing computed hashes mean the
   // stores differ (hash is consistent with equal); do not force a
@@ -290,7 +363,7 @@ bool StoreOps::equalK(const AbstractStore &A, const AbstractStore &B) const {
   // top; explicit top entries match missing ones).
   const int64_t MinV = D.minValue(), MaxV = D.maxValue();
   const size_t WA = wordsOf(PA), WB = wordsOf(PB);
-  uint64_t Blocks = 0;
+  BlockTally Blocks{KernelBlocks};
   bool Eq = true;
   for (size_t W = 0; Eq && W < std::max(WA, WB); ++W) {
     uint64_t MA = W < WA ? PA->Bits[W] : 0;
@@ -298,7 +371,7 @@ bool StoreOps::equalK(const AbstractStore &A, const AbstractStore &B) const {
     uint64_t Union = MA | MB;
     if (!Union)
       continue;
-    ++Blocks;
+    ++Blocks.N;
     size_t Base = W * 64;
     uint64_t Common = MA & MB;
     if (Common == ~0ull) {
@@ -342,13 +415,15 @@ bool StoreOps::equalK(const AbstractStore &A, const AbstractStore &B) const {
       }
     }
   }
-  KernelBlocks.fetch_add(Blocks, std::memory_order_relaxed);
   return Eq;
 }
 
 bool StoreOps::equal(const AbstractStore &A, const AbstractStore &B) const {
   if (A.isBottom() || B.isBottom())
     return A.isBottom() == B.isBottom();
+  // Pointer-stable convergence fast path: the delta-aware ops return
+  // their input payload when nothing changed, so the solver's equality
+  // checks usually resolve right here.
   if (A.samePayload(B))
     return true;
   return wantCong(A.P.get(), B.P.get()) ? equalK<true>(A, B)
@@ -357,24 +432,17 @@ bool StoreOps::equal(const AbstractStore &A, const AbstractStore &B) const {
 
 template <bool HasCong>
 uint64_t StoreOps::hashK(const AbstractStore &S) const {
-  if (S.isBottom())
-    return 0x452821e638d01377ull;
-  if (!S.P || S.P->NumPresent == 0)
-    return 0x13198a2e03707344ull; // the top store
-  uint64_t Cached = S.P->CachedHash.load(std::memory_order_relaxed);
-  if (Cached)
-    return Cached;
   const StorePayload *P = S.P.get();
   const int64_t MinV = D.minValue(), MaxV = D.maxValue();
   uint64_t H = 0x13198a2e03707344ull;
-  uint64_t Blocks = 0;
+  BlockTally Blocks{KernelBlocks};
   // Slot order is deterministic across runs (per-routine declaration
   // order), unlike the pointer order of the old map representation.
   for (size_t W = 0; W < P->Bits.size(); ++W) {
     uint64_t Mask = P->Bits[W];
     if (!Mask)
       continue;
-    ++Blocks;
+    ++Blocks.N;
     uint64_t BoolW = P->BoolBits[W];
     size_t Base = W * 64;
     while (Mask) {
@@ -411,7 +479,6 @@ uint64_t StoreOps::hashK(const AbstractStore &S) const {
   if (H == 0)
     H = 0x3f84d5b5b5470917ull; // 0 is the "not yet computed" sentinel
   S.P->CachedHash.store(H, std::memory_order_relaxed);
-  KernelBlocks.fetch_add(Blocks, std::memory_order_relaxed);
   return H;
 }
 
@@ -433,141 +500,32 @@ uint64_t StoreOps::hash(const AbstractStore &S) const {
 template <bool HasCong>
 AbstractStore StoreOps::joinK(const AbstractStore &A,
                               const AbstractStore &B) const {
-  if (A.isBottom())
-    return B;
-  if (B.isBottom())
-    return A;
-  if (A.samePayload(B) || A.isTop())
-    return A;
-  if (B.isTop())
-    return B;
   const StorePayload *PA = A.P.get(), *PB = B.P.get();
   const int64_t MinV = D.minValue(), MaxV = D.maxValue();
-  const size_t WA = wordsOf(PA), WB = wordsOf(PB);
-  uint64_t Blocks = 0;
-  // Delta pass 1: result == A when every real constraint of A absorbs
-  // B's value (B present and below). Explicit top entries of A never
-  // constrain anything, so they cannot break equality. No allocation.
-  bool EqA = true;
-  for (size_t W = 0; EqA && W < WA; ++W) {
-    uint64_t MA = PA->Bits[W];
-    if (!MA)
-      continue;
-    ++Blocks;
-    uint64_t MB = W < WB ? PB->Bits[W] : 0;
-    uint64_t BoolW = PA->BoolBits[W];
-    size_t Base = W * 64;
-    while (MA) {
-      unsigned Bit = static_cast<unsigned>(__builtin_ctzll(MA));
-      MA &= MA - 1;
-      size_t S = Base + Bit;
-      Row AV = loadRow<HasCong>(PA, S);
-      if (rowTop<HasCong>(AV, laneOf(BoolW, Bit, MinV, MaxV)))
-        continue;
-      if (!((MB >> Bit) & 1) || !rowLeq<HasCong>(loadRow<HasCong>(PB, S), AV)) {
-        EqA = false;
-        break;
-      }
-    }
-  }
-  if (EqA) {
-    KernelBlocks.fetch_add(Blocks, std::memory_order_relaxed);
+  BlockTally Blocks{KernelBlocks};
+  // Delta passes, no allocation: the result is A when B <= A (explicit
+  // top entries of A constrain nothing, so they cannot break that), and
+  // B when A <= B (the growing phase of an ascending iteration usually
+  // lands there).
+  if (subsumed<HasCong>(PB, PA, MinV, MaxV, Blocks.N))
     return A;
-  }
-  // Delta pass 2: symmetric check for result == B (the growing phase of
-  // an ascending iteration usually lands here).
-  bool EqB = true;
-  for (size_t W = 0; EqB && W < WB; ++W) {
-    uint64_t MB = PB->Bits[W];
-    if (!MB)
-      continue;
-    ++Blocks;
-    uint64_t MA = W < WA ? PA->Bits[W] : 0;
-    uint64_t BoolW = PB->BoolBits[W];
-    size_t Base = W * 64;
-    while (MB) {
-      unsigned Bit = static_cast<unsigned>(__builtin_ctzll(MB));
-      MB &= MB - 1;
-      size_t S = Base + Bit;
-      Row BV = loadRow<HasCong>(PB, S);
-      if (rowTop<HasCong>(BV, laneOf(BoolW, Bit, MinV, MaxV)))
-        continue;
-      if (!((MA >> Bit) & 1) || !rowLeq<HasCong>(loadRow<HasCong>(PA, S), BV)) {
-        EqB = false;
-        break;
-      }
-    }
-  }
-  if (EqB) {
-    KernelBlocks.fetch_add(Blocks, std::memory_order_relaxed);
+  if (subsumed<HasCong>(PA, PB, MinV, MaxV, Blocks.N))
     return B;
-  }
-  // General case: only slots constrained in *both* stores stay
-  // constrained. The output rows are written straight from the input
-  // rows — no per-entry growth checks, no AbsValue materialization.
+  // General case: the bound-wise hull (and congruence join) of the
+  // slots constrained in both stores.
   AbstractStore Out;
-  Out.P = std::make_shared<StorePayload>();
-  StorePayload &PO = *Out.P;
-  const size_t Cap = std::min(PA->capacity(), PB->capacity());
-  const size_t Words = (Cap + 63) / 64;
-  PO.DK = HasCong ? outKind(PA, PB) : DomainKind::Interval;
-  PO.Lo.resize(Cap);
-  PO.Hi.resize(Cap);
-  if constexpr (HasCong) {
-    PO.CM.resize(Cap);
-    PO.CR.resize(Cap);
-  }
-  PO.Bits.assign(Words, 0);
-  PO.BoolBits.assign(PA->BoolBits.begin(), PA->BoolBits.begin() + Words);
-  PO.Keys = PA->Keys;
-  uint32_t Num = 0;
-  for (size_t W = 0; W < Words; ++W) {
-    uint64_t Common = PA->Bits[W] & PB->Bits[W];
-    if (!Common)
-      continue;
-    ++Blocks;
-    uint64_t BoolW = PO.BoolBits[W];
-    size_t Base = W * 64;
-    uint64_t OutBits = 0;
-    uint64_t M = Common;
-    while (M) {
-      unsigned Bit = static_cast<unsigned>(__builtin_ctzll(M));
-      M &= M - 1;
-      size_t S = Base + Bit;
-      Row AV = loadRow<HasCong>(PA, S);
-      Row BV = loadRow<HasCong>(PB, S);
-      bool ABot = rowBot<HasCong>(AV), BBot = rowBot<HasCong>(BV);
-      Row J;
-      if (ABot)
-        J = BV;
-      else if (BBot)
-        J = AV;
-      else {
-        J.Lo = std::min(AV.Lo, BV.Lo);
-        J.Hi = std::max(AV.Hi, BV.Hi);
+  Out.P = intersectCombine<HasCong>(
+      PA, PB, MinV, MaxV, Blocks.N,
+      [](const Row &AV, const Row &BV, const Lane &, bool) {
+        Row J{std::min(AV.Lo, BV.Lo), std::max(AV.Hi, BV.Hi), 1, 0};
         if constexpr (HasCong) {
           Congruence JC =
               CDK.join(Congruence(AV.M, AV.R), Congruence(BV.M, BV.R));
           J.M = JC.M;
           J.R = JC.R;
         }
-      }
-      Lane L = laneOf(BoolW, Bit, MinV, MaxV);
-      if (rowTop<HasCong>(J, L))
-        continue; // skip entries that became top
-      PO.Lo[S] = J.Lo;
-      PO.Hi[S] = J.Hi;
-      if constexpr (HasCong) {
-        PO.CM[S] = J.M;
-        PO.CR[S] = J.R;
-      }
-      OutBits |= uint64_t(1) << Bit;
-    }
-    PO.Bits[W] = OutBits;
-    Num += static_cast<uint32_t>(__builtin_popcountll(OutBits));
-  }
-  PO.NumPresent = Num;
-  KernelBlocks.fetch_add(Blocks, std::memory_order_relaxed);
+        return J;
+      });
   return Out;
 }
 
@@ -588,45 +546,14 @@ AbstractStore StoreOps::join(const AbstractStore &A,
 template <bool HasCong>
 AbstractStore StoreOps::meetK(const AbstractStore &A,
                               const AbstractStore &B) const {
-  if (A.isBottom() || B.isBottom())
-    return AbstractStore::bottom();
-  if (A.samePayload(B) || B.isTop())
-    return A;
-  if (A.isTop())
-    return B;
   const StorePayload *PA = A.P.get(), *PB = B.P.get();
   const int64_t MinV = D.minValue(), MaxV = D.maxValue();
-  const size_t WA = wordsOf(PA), WB = wordsOf(PB);
-  uint64_t Blocks = 0;
-  // Delta pass: result == A when every constraint of B is already
-  // implied by A (the common case once the solver iterates inside a
-  // previously computed envelope).
-  bool EqA = true;
-  for (size_t W = 0; EqA && W < WB; ++W) {
-    uint64_t MB = PB->Bits[W];
-    if (!MB)
-      continue;
-    ++Blocks;
-    uint64_t MA = W < WA ? PA->Bits[W] : 0;
-    uint64_t BoolW = PB->BoolBits[W];
-    size_t Base = W * 64;
-    while (MB) {
-      unsigned Bit = static_cast<unsigned>(__builtin_ctzll(MB));
-      MB &= MB - 1;
-      size_t S = Base + Bit;
-      Row BV = loadRow<HasCong>(PB, S);
-      if (rowTop<HasCong>(BV, laneOf(BoolW, Bit, MinV, MaxV)))
-        continue;
-      if (!((MA >> Bit) & 1) || !rowLeq<HasCong>(loadRow<HasCong>(PA, S), BV)) {
-        EqA = false;
-        break;
-      }
-    }
-  }
-  if (EqA) {
-    KernelBlocks.fetch_add(Blocks, std::memory_order_relaxed);
+  BlockTally Blocks{KernelBlocks};
+  // Delta pass: result == A when A <= B, i.e. every constraint of B is
+  // already implied by A (the common case once the solver iterates
+  // inside a previously computed envelope).
+  if (subsumed<HasCong>(PA, PB, MinV, MaxV, Blocks.N))
     return A;
-  }
   // General case: clone A's payload and fold every non-top constraint
   // of B into it (meet = max-lo/min-hi plus the congruence-class CRT on
   // the stride planes; an absent A slot adopts B's value).
@@ -639,11 +566,11 @@ AbstractStore StoreOps::meetK(const AbstractStore &A,
     if (PO.DK == DomainKind::Interval)
       PO.setKind(outKind(PA, PB));
   }
-  for (size_t W = 0; W < WB; ++W) {
+  for (size_t W = 0; W < PB->Bits.size(); ++W) {
     uint64_t MB = PB->Bits[W];
     if (!MB)
       continue;
-    ++Blocks;
+    ++Blocks.N;
     uint64_t BoolW = PB->BoolBits[W];
     size_t Base = W * 64;
     while (MB) {
@@ -672,17 +599,14 @@ AbstractStore StoreOps::meetK(const AbstractStore &A,
           }
         }
       }
-      if (MR.Lo > MR.Hi || (HasCong && MR.M < 0)) {
-        KernelBlocks.fetch_add(Blocks, std::memory_order_relaxed);
+      if (MR.Lo > MR.Hi || (HasCong && MR.M < 0))
         return AbstractStore::bottom();
-      }
       PO.ensureCapacity(static_cast<unsigned>(S));
       PO.noteKey(static_cast<unsigned>(S), PB->key(static_cast<unsigned>(S)));
       PO.putRaw(static_cast<unsigned>(S), MR.Lo, MR.Hi, IsBool, MR.M, MR.R);
     }
   }
   PO.CachedHash.store(0, std::memory_order_relaxed);
-  KernelBlocks.fetch_add(Blocks, std::memory_order_relaxed);
   return Out;
 }
 
@@ -701,91 +625,26 @@ AbstractStore StoreOps::meet(const AbstractStore &A,
 template <bool HasCong>
 AbstractStore StoreOps::widenK(const AbstractStore &A,
                                const AbstractStore &B) const {
-  if (A.isBottom())
-    return B;
-  if (B.isBottom())
-    return A;
-  if (A.samePayload(B) || A.isTop())
-    return A;
+  // B may be the top store here (the wrapper only rules out a top A);
+  // a null PB then reads as no constraint and no output capacity.
   const StorePayload *PA = A.P.get(), *PB = B.P.get();
   const int64_t MinV = D.minValue(), MaxV = D.maxValue();
-  const size_t WA = wordsOf(PA), WB = wordsOf(PB);
-  const bool Thresholded = !WideningThresholds.empty();
-  uint64_t Blocks = 0;
-  // Delta pass: widening is stable (result == A) when every constraint
-  // of A already bounds B's value — the standard, threshold, and
-  // congruence (widen = join on a finite divisor chain) operators all
-  // keep stable entries unchanged.
-  bool EqA = true;
-  for (size_t W = 0; EqA && W < WA; ++W) {
-    uint64_t MA = PA->Bits[W];
-    if (!MA)
-      continue;
-    ++Blocks;
-    uint64_t MB = W < WB && PB ? PB->Bits[W] : 0;
-    uint64_t BoolW = PA->BoolBits[W];
-    size_t Base = W * 64;
-    while (MA) {
-      unsigned Bit = static_cast<unsigned>(__builtin_ctzll(MA));
-      MA &= MA - 1;
-      size_t S = Base + Bit;
-      Row AV = loadRow<HasCong>(PA, S);
-      if (rowTop<HasCong>(AV, laneOf(BoolW, Bit, MinV, MaxV)))
-        continue;
-      if (!((MB >> Bit) & 1) || !rowLeq<HasCong>(loadRow<HasCong>(PB, S), AV)) {
-        EqA = false;
-        break;
-      }
-    }
-  }
-  if (EqA) {
-    KernelBlocks.fetch_add(Blocks, std::memory_order_relaxed);
+  BlockTally Blocks{KernelBlocks};
+  // Delta pass: widening is stable (result == A) when B <= A — the
+  // standard, threshold, and congruence (widen = join on a finite
+  // divisor chain) operators all keep stable entries unchanged.
+  if (subsumed<HasCong>(PB, PA, MinV, MaxV, Blocks.N))
     return A;
-  }
   // General case: slots of A with B present widen bound-wise (unstable
   // bounds jump to the lane's w-/w+; boolean join is exactly that
   // formula over {0, 1}; congruence widening is its join); slots absent
   // in B are unstable towards top and drop.
+  const bool Thresholded = !WideningThresholds.empty();
   AbstractStore Out;
-  Out.P = std::make_shared<StorePayload>();
-  StorePayload &PO = *Out.P;
-  const size_t Cap = std::min(PA->capacity(), PB ? PB->capacity() : 0);
-  const size_t Words = (Cap + 63) / 64;
-  PO.DK = HasCong ? outKind(PA, PB) : DomainKind::Interval;
-  PO.Lo.resize(Cap);
-  PO.Hi.resize(Cap);
-  if constexpr (HasCong) {
-    PO.CM.resize(Cap);
-    PO.CR.resize(Cap);
-  }
-  PO.Bits.assign(Words, 0);
-  PO.BoolBits.assign(PA->BoolBits.begin(), PA->BoolBits.begin() + Words);
-  PO.Keys = PA->Keys;
-  uint32_t Num = 0;
-  for (size_t W = 0; W < Words; ++W) {
-    uint64_t Common = PA->Bits[W] & PB->Bits[W];
-    if (!Common)
-      continue;
-    ++Blocks;
-    uint64_t BoolW = PO.BoolBits[W];
-    size_t Base = W * 64;
-    uint64_t OutBits = 0;
-    uint64_t M = Common;
-    while (M) {
-      unsigned Bit = static_cast<unsigned>(__builtin_ctzll(M));
-      M &= M - 1;
-      size_t S = Base + Bit;
-      Row AV = loadRow<HasCong>(PA, S);
-      Row BV = loadRow<HasCong>(PB, S);
-      bool IsBool = (BoolW >> Bit) & 1;
-      Lane L{IsBool ? 0 : MinV, IsBool ? 1 : MaxV};
-      Row WV;
-      bool ABot = rowBot<HasCong>(AV), BBot = rowBot<HasCong>(BV);
-      if (ABot)
-        WV = BV;
-      else if (BBot)
-        WV = AV;
-      else {
+  Out.P = intersectCombine<HasCong>(
+      PA, PB, MinV, MaxV, Blocks.N,
+      [&](const Row &AV, const Row &BV, const Lane &L, bool IsBool) {
+        Row WV{0, 0, 1, 0};
         if (Thresholded && !IsBool) {
           // Scalar fallback: the threshold operator scans the threshold
           // list per unstable bound — rare enough to stay off the fast
@@ -804,26 +663,9 @@ AbstractStore StoreOps::widenK(const AbstractStore &A,
               CDK.widen(Congruence(AV.M, AV.R), Congruence(BV.M, BV.R));
           WV.M = WC.M;
           WV.R = WC.R;
-        } else {
-          WV.M = 1;
-          WV.R = 0;
         }
-      }
-      if (rowTop<HasCong>(WV, L))
-        continue;
-      PO.Lo[S] = WV.Lo;
-      PO.Hi[S] = WV.Hi;
-      if constexpr (HasCong) {
-        PO.CM[S] = WV.M;
-        PO.CR[S] = WV.R;
-      }
-      OutBits |= uint64_t(1) << Bit;
-    }
-    PO.Bits[W] = OutBits;
-    Num += static_cast<uint32_t>(__builtin_popcountll(OutBits));
-  }
-  PO.NumPresent = Num;
-  KernelBlocks.fetch_add(Blocks, std::memory_order_relaxed);
+        return WV;
+      });
   return Out;
 }
 
@@ -842,14 +684,10 @@ AbstractStore StoreOps::widen(const AbstractStore &A,
 template <bool HasCong>
 AbstractStore StoreOps::narrowK(const AbstractStore &A,
                                 const AbstractStore &B) const {
-  if (A.isBottom() || B.isBottom())
-    return AbstractStore::bottom();
-  if (A.samePayload(B))
-    return A;
   const StorePayload *PA = A.P.get(), *PB = B.P.get();
   const int64_t MinV = D.minValue(), MaxV = D.maxValue();
   const size_t WA = wordsOf(PA), WB = wordsOf(PB);
-  uint64_t Blocks = 0;
+  BlockTally Blocks{KernelBlocks};
 
   // NarrowValues on raw rows. Integer lanes use the §6.1 operator (only
   // omega bounds are refined; the congruence plane refines only a top
@@ -890,7 +728,7 @@ AbstractStore StoreOps::narrowK(const AbstractStore &A,
     uint64_t MA = PA->Bits[W];
     if (!MA)
       continue;
-    ++Blocks;
+    ++Blocks.N;
     uint64_t MB = W < WB && PB ? PB->Bits[W] : 0;
     uint64_t BoolW = PA->BoolBits[W];
     size_t Base = W * 64;
@@ -911,7 +749,7 @@ AbstractStore StoreOps::narrowK(const AbstractStore &A,
       uint64_t MB = PB->Bits[W];
       if (!MB)
         continue;
-      ++Blocks;
+      ++Blocks.N;
       uint64_t MA = W < WA && PA ? PA->Bits[W] : 0;
       uint64_t BoolW = PB->BoolBits[W];
       size_t Base = W * 64;
@@ -930,45 +768,31 @@ AbstractStore StoreOps::narrowK(const AbstractStore &A,
       }
     }
   }
-  if (EqA) {
-    KernelBlocks.fetch_add(Blocks, std::memory_order_relaxed);
+  if (EqA)
     return A;
-  }
 
   // General case. Slots of A are narrowed (B absent keeps A's row:
   // x /\~ T = x); slots only in B refine omega bounds of the implicit
   // top entry of A, which narrowing replaces entirely. Any bottom row
   // collapses the whole store.
   AbstractStore Out;
-  Out.P = std::make_shared<StorePayload>();
+  Out.P = freshPayload<HasCong>(
+      PA, PB,
+      std::max(PA ? PA->capacity() : 0, PB ? PB->capacity() : 0));
   StorePayload &PO = *Out.P;
-  const size_t CapA = PA ? PA->capacity() : 0;
-  const size_t CapB = PB ? PB->capacity() : 0;
-  const size_t Cap = std::max(CapA, CapB);
-  const size_t Words = (Cap + 63) / 64;
-  PO.DK = HasCong ? outKind(PA, PB) : DomainKind::Interval;
-  PO.Lo.resize(Cap);
-  PO.Hi.resize(Cap);
-  if constexpr (HasCong) {
-    PO.CM.resize(Cap);
-    PO.CR.resize(Cap);
-  }
-  PO.Bits.assign(Words, 0);
+  const size_t Words = PO.Bits.size();
   PO.BoolBits.assign(Words, 0);
-  for (size_t W = 0; W < Words; ++W) {
-    uint64_t LA = W < WA ? PA->BoolBits[W] : 0;
-    uint64_t LB = W < WB ? PB->BoolBits[W] : 0;
-    PO.BoolBits[W] = LA | LB;
-  }
   PO.Keys = PA ? PA->Keys : nullptr;
   uint32_t Num = 0;
   for (size_t W = 0; W < Words; ++W) {
+    uint64_t BoolW = (W < WA ? PA->BoolBits[W] : 0) |
+                     (W < WB ? PB->BoolBits[W] : 0);
+    PO.BoolBits[W] = BoolW;
     uint64_t MA = W < WA ? PA->Bits[W] : 0;
     uint64_t MB = W < WB ? PB->Bits[W] : 0;
     if (!(MA | MB))
       continue;
-    ++Blocks;
-    uint64_t BoolW = PO.BoolBits[W];
+    ++Blocks.N;
     size_t Base = W * 64;
     uint64_t OutBits = 0;
     uint64_t M = MA | MB;
@@ -980,34 +804,24 @@ AbstractStore StoreOps::narrowK(const AbstractStore &A,
       Row N;
       if (InA && InB) {
         N = NarrowRow(S, (BoolW >> Bit) & 1);
-        if (N.Lo > N.Hi || (HasCong && N.M < 0)) {
-          KernelBlocks.fetch_add(Blocks, std::memory_order_relaxed);
+        if (N.Lo > N.Hi || (HasCong && N.M < 0))
           return AbstractStore::bottom();
-        }
       } else if (InA) {
         N = loadRow<HasCong>(PA, S); // B's entry is top: x /\~ T = x
       } else {
         N = loadRow<HasCong>(PB, S); // A's entry top: narrowing takes B
-        if (rowBot<HasCong>(N)) {
-          KernelBlocks.fetch_add(Blocks, std::memory_order_relaxed);
+        if (rowBot<HasCong>(N))
           return AbstractStore::bottom();
-        }
         PO.noteKey(static_cast<unsigned>(S),
                    PB->key(static_cast<unsigned>(S)));
       }
-      PO.Lo[S] = N.Lo;
-      PO.Hi[S] = N.Hi;
-      if constexpr (HasCong) {
-        PO.CM[S] = N.M;
-        PO.CR[S] = N.R;
-      }
+      storeRow<HasCong>(PO, S, N);
       OutBits |= uint64_t(1) << Bit;
     }
     PO.Bits[W] = OutBits;
     Num += static_cast<uint32_t>(__builtin_popcountll(OutBits));
   }
   PO.NumPresent = Num;
-  KernelBlocks.fetch_add(Blocks, std::memory_order_relaxed);
   return Out;
 }
 

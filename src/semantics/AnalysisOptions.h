@@ -22,13 +22,14 @@
 #include "support/Telemetry.h"
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace syntox {
 
 /// Instance count at which the Analyzer turns the transfer cache on when
-/// the caller did not pin it (see AnalysisOptions::TransferCacheSet).
+/// the caller did not pin it (see AnalysisOptions::TransferCache).
 inline constexpr unsigned AdaptiveCacheInstanceThreshold = 10;
 
 struct AnalysisOptions {
@@ -39,19 +40,14 @@ struct AnalysisOptions {
   DomainKind Domain = DomainKind::Interval;
   /// Memoize the per-edge transfer functions across all phases (the
   /// cache is purely memoizing: results are identical either way).
-  /// Off by default: interval transfers are about as cheap as the
-  /// hash-and-probe bookkeeping, so memoization only pays once the
-  /// transfer functions themselves are expensive (richer domains,
-  /// costly expression semantics).
-  bool UseTransferCache = false;
-  /// True once transferCache() (or --cache/--no-cache) pinned the cache
-  /// explicitly. When false, the Analyzer auto-enables the cache for
-  /// programs whose token unfolding crosses
-  /// AdaptiveCacheInstanceThreshold instances — the regime where the
-  /// EXPERIMENTS.md E-store measurements show the cache winning
-  /// (McCarthy's 11-instance unfolding gains 1.11-1.25x; small loop
-  /// chains lose 0.66-0.79x).
-  bool TransferCacheSet = false;
+  /// transferCache() (or --cache/--no-cache) pins it on or off. Unpinned
+  /// (nullopt), the Analyzer turns it on only for programs whose token
+  /// unfolding reaches AdaptiveCacheInstanceThreshold instances: there
+  /// shared transfer results repeat across instances, and the flat
+  /// table measured 7-8% faster than cache-off on McCarthy_15..24.
+  /// Below that, interval transfers are about as cheap as the
+  /// hash-and-probe bookkeeping.
+  std::optional<bool> TransferCache;
   /// Narrowing passes after each ascending phase.
   unsigned NarrowingPasses = 1;
   /// Rounds of (always, eventually, forward) refinement after the
@@ -153,8 +149,7 @@ struct AnalysisOptions {
     return *this;
   }
   AnalysisOptions &transferCache(bool On) {
-    UseTransferCache = On;
-    TransferCacheSet = true;
+    TransferCache = On;
     return *this;
   }
   AnalysisOptions &cacheDir(std::string Dir) {

@@ -238,12 +238,9 @@ Analyzer::Analyzer(const ProgramCfg &Cfg, RoutineDecl *Program, Options Opts)
   // Adaptive transfer cache: unless the caller pinned the cache
   // explicitly (--cache/--no-cache), enable it once the token unfolding
   // is large enough that shared transfer results start repeating across
-  // instances — the regime where the E-store measurements show it
-  // winning.
-  if (!this->Opts.TransferCacheSet &&
-      Graph->instances().size() >= AdaptiveCacheInstanceThreshold)
-    this->Opts.UseTransferCache = true;
-  if (this->Opts.UseTransferCache) {
+  // instances.
+  if (this->Opts.TransferCache.value_or(
+          Graph->instances().size() >= AdaptiveCacheInstanceThreshold)) {
     Cache = std::make_unique<TransferCache>(Ops);
     Cache->setTrace(this->Opts.Telem.Trace);
   }
@@ -588,7 +585,7 @@ void Analyzer::runImpl(const std::vector<std::vector<uint8_t>> *Masks) {
   if (Stats.Phases.empty())
     if (MetricsRegistry *M = Opts.Telem.Metrics) {
       M->counter("interproc.instances").inc(Graph->instances().size());
-      if (Cache && !Opts.TransferCacheSet)
+      if (Cache && !Opts.TransferCache.has_value())
         M->counter("cache.auto_enabled").inc();
     }
   Stats = AnalysisStats();

@@ -3,6 +3,7 @@
 #include "support/Metrics.h"
 
 #include <bit>
+#include <cassert>
 #include <cmath>
 
 using namespace syntox;
@@ -47,6 +48,8 @@ void Histogram::observe(double X) {
   if (I >= static_cast<int>(NumBuckets))
     I = NumBuckets - 1;
   Buckets[I].fetch_add(1, std::memory_order_relaxed);
+  if (Up)
+    Up->observe(X);
 }
 
 double Histogram::sum() const {
@@ -71,25 +74,48 @@ double Histogram::bucketBound(unsigned I) {
 Counter &MetricsRegistry::counter(const std::string &Name) {
   std::lock_guard<std::mutex> Lock(M);
   auto &Slot = Counters[Name];
-  if (!Slot)
+  if (!Slot) {
     Slot = std::make_unique<Counter>();
+    if (Upstream)
+      Slot->Up = &Upstream->counter(Name);
+  }
   return *Slot;
 }
 
 Gauge &MetricsRegistry::gauge(const std::string &Name) {
   std::lock_guard<std::mutex> Lock(M);
   auto &Slot = Gauges[Name];
-  if (!Slot)
+  if (!Slot) {
     Slot = std::make_unique<Gauge>();
+    if (Upstream)
+      Slot->Up = &Upstream->gauge(Name);
+  }
   return *Slot;
 }
 
 Histogram &MetricsRegistry::histogram(const std::string &Name) {
   std::lock_guard<std::mutex> Lock(M);
   auto &Slot = Histograms[Name];
-  if (!Slot)
+  if (!Slot) {
     Slot = std::make_unique<Histogram>();
+    if (Upstream)
+      Slot->Up = &Upstream->histogram(Name);
+  }
   return *Slot;
+}
+
+void MetricsRegistry::mirrorTo(MetricsRegistry *Up) {
+  assert(Up != this && "a registry cannot mirror into itself");
+  std::lock_guard<std::mutex> Lock(M);
+  if (Up == Upstream)
+    return;
+  Upstream = Up;
+  for (auto &[Name, C] : Counters)
+    C->Up = Up ? &Up->counter(Name) : nullptr;
+  for (auto &[Name, G] : Gauges)
+    G->Up = Up ? &Up->gauge(Name) : nullptr;
+  for (auto &[Name, H] : Histograms)
+    H->Up = Up ? &Up->histogram(Name) : nullptr;
 }
 
 uint64_t MetricsRegistry::counterValue(const std::string &Name) const {

@@ -17,6 +17,11 @@
 /// Instrument accessors return stable references: hot paths resolve the
 /// name once and bump the returned object without further locking.
 ///
+/// A registry may mirror into an upstream one (mirrorTo): every update
+/// of one of its instruments is applied to the same-named instrument
+/// upstream as well, so a session keeps its own counts while a batch or
+/// server registry still sees the totals of all its sessions.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SYNTOX_SUPPORT_METRICS_H
@@ -36,28 +41,42 @@ namespace syntox {
 /// Monotonically increasing counter.
 class Counter {
 public:
-  void inc(uint64_t N = 1) { V.fetch_add(N, std::memory_order_relaxed); }
+  void inc(uint64_t N = 1) {
+    V.fetch_add(N, std::memory_order_relaxed);
+    if (Up)
+      Up->inc(N);
+  }
   uint64_t value() const { return V.load(std::memory_order_relaxed); }
 
 private:
+  friend class MetricsRegistry;
   std::atomic<uint64_t> V{0};
+  Counter *Up = nullptr; ///< the upstream registry's namesake
 };
 
 /// A point-in-time value; set() overwrites, accumulateMax() keeps the
 /// largest observation.
 class Gauge {
 public:
-  void set(int64_t New) { V.store(New, std::memory_order_relaxed); }
+  void set(int64_t New) {
+    V.store(New, std::memory_order_relaxed);
+    if (Up)
+      Up->set(New);
+  }
   void accumulateMax(int64_t New) {
     int64_t Cur = V.load(std::memory_order_relaxed);
     while (New > Cur &&
            !V.compare_exchange_weak(Cur, New, std::memory_order_relaxed))
       ;
+    if (Up)
+      Up->accumulateMax(New);
   }
   int64_t value() const { return V.load(std::memory_order_relaxed); }
 
 private:
+  friend class MetricsRegistry;
   std::atomic<int64_t> V{0};
+  Gauge *Up = nullptr; ///< the upstream registry's namesake
 };
 
 /// Distribution summary over double observations. Buckets are upper
@@ -81,11 +100,13 @@ public:
   static double bucketBound(unsigned I);
 
 private:
+  friend class MetricsRegistry;
   std::atomic<uint64_t> N{0};
   std::atomic<uint64_t> SumBits{0}; ///< double bit-pattern, CAS-updated
   std::atomic<uint64_t> MinBits{0x7FF0000000000000ull};  ///< +inf
   std::atomic<uint64_t> MaxBits{0xFFF0000000000000ull};  ///< -inf
   std::atomic<uint64_t> Buckets[NumBuckets]{};
+  Histogram *Up = nullptr; ///< the upstream registry's namesake
 };
 
 /// Owner of all metrics of one analysis session. Lookup registers on
@@ -105,11 +126,18 @@ public:
   /// Convenience for tests and text reports: counter value or 0.
   uint64_t counterValue(const std::string &Name) const;
 
+  /// Mirrors every later update of this registry's instruments into
+  /// \p Up as well (null stops mirroring). \p Up must stay alive while
+  /// this registry is updated. Updates made before the call are not
+  /// copied, and the call must not race with updates of this registry.
+  void mirrorTo(MetricsRegistry *Up);
+
 private:
   mutable std::mutex M;
   std::map<std::string, std::unique_ptr<Counter>> Counters;
   std::map<std::string, std::unique_ptr<Gauge>> Gauges;
   std::map<std::string, std::unique_ptr<Histogram>> Histograms;
+  MetricsRegistry *Upstream = nullptr;
 };
 
 } // namespace syntox

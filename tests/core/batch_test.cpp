@@ -209,4 +209,33 @@ TEST(AnalysisBatchTest, ConstructionCountersCountOncePerRequest) {
   EXPECT_EQ(Batch.metrics().counterValue("cache.auto_enabled"), 1u);
 }
 
+TEST(AnalysisBatchTest, OutcomeMetricsHoldTheSessionsCounts) {
+  // The batch registry receives every session's updates, and each
+  // outcome's findings still carry the counts of its own session.
+  DiagnosticsEngine Diags;
+  auto Solo = AnalysisSession::create(paper::ForProgram, Diags);
+  ASSERT_NE(Solo, nullptr) << Diags.str();
+  AnalysisResult SoloRun = Solo->run();
+  const json::Value *SoloSteps = SoloRun.metrics()
+                                     .find("counters")
+                                     ->find("solver.ascending_steps");
+  ASSERT_NE(SoloSteps, nullptr);
+  int64_t Steps = SoloSteps->asInt();
+  EXPECT_EQ(Steps, 38);
+
+  AnalysisBatch Batch;
+  Batch.add(paper::ForProgram);
+  auto Outcomes = Batch.runAll();
+  ASSERT_EQ(Outcomes.size(), 1u);
+  ASSERT_TRUE(Outcomes[0].OK) << Outcomes[0].Error;
+  json::Value Findings = Outcomes[0].findingsJson();
+  const json::Value *BatchSteps = Findings.find("metrics")
+                                      ->find("counters")
+                                      ->find("solver.ascending_steps");
+  ASSERT_NE(BatchSteps, nullptr);
+  EXPECT_EQ(BatchSteps->asInt(), Steps);
+  EXPECT_EQ(Batch.metrics().counterValue("solver.ascending_steps"),
+            static_cast<uint64_t>(Steps));
+}
+
 } // namespace

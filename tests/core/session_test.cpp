@@ -413,6 +413,22 @@ TEST(AnalysisSessionTest, CallerRegistryCountsConstructionOnce) {
   EXPECT_EQ(Metrics.counterValue("session.engine_reuses"), 0u);
 }
 
+TEST(AnalysisSessionTest, AutoEnabledCacheLeavesTheOptionsAsPassed) {
+  // McCarthy unfolds past the instance threshold, so the engine turns
+  // the unpinned transfer cache on. It decides that locally: the options
+  // it reports are the ones the session passed, cache still unpinned.
+  auto Session = makeSession(paper::McCarthyProgram);
+  ASSERT_NE(Session, nullptr);
+  AnalysisResult R = Session->run();
+  EXPECT_GE(numInstances(R), AdaptiveCacheInstanceThreshold);
+  EXPECT_TRUE(R.analyzer().transferCacheEnabled());
+  EXPECT_EQ(R.analyzer().options(), Session->options());
+  AnalysisOptions Passed;
+  Passed.Telem = Session->options().Telem;
+  EXPECT_EQ(R.analyzer().options(), Passed);
+  EXPECT_FALSE(R.analyzer().options().TransferCache.has_value());
+}
+
 TEST(AnalysisSessionTest, TracingAfterCreateRebuildsAndCountsOnce) {
   // The recorder is captured at engine construction, so enabling it
   // after create() makes the first run build a fresh, traced engine.

@@ -234,6 +234,18 @@ TEST_P(StoreProductTest, FuzzedKernelsMatchScalarReference) {
 
     EXPECT_EQ(Ops.equal(A, B), Ref.scalarEqual(A, B));
     EXPECT_EQ(Ops.leq(A, B), Ref.scalarLeq(A, B));
+    // The delta contract: join, meet and widen hand back an input's
+    // payload exactly when the scalar order says the result is that
+    // input (join prefers A when both hold).
+    if (!A.isBottom() && !B.isBottom() && !A.isTop() && !B.isTop() &&
+        !A.samePayload(B)) {
+      bool BInA = Ref.scalarLeq(B, A), AInB = Ref.scalarLeq(A, B);
+      AbstractStore J = Ops.join(A, B);
+      EXPECT_EQ(J.samePayload(A), BInA);
+      EXPECT_EQ(J.samePayload(B), !BInA && AInB);
+      EXPECT_EQ(Ops.meet(A, B).samePayload(A), AInB);
+      EXPECT_EQ(Ops.widen(A, B).samePayload(A), BInA);
+    }
     if (Ref.scalarEqual(A, B)) {
       EXPECT_EQ(Ops.hash(A), Ops.hash(B));
     }

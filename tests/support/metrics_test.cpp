@@ -56,6 +56,28 @@ TEST(MetricsTest, HistogramSummary) {
   EXPECT_EQ(Total, 3u);
 }
 
+TEST(MetricsTest, MirrorForwardsLaterUpdates) {
+  MetricsRegistry Up, M;
+  Counter &Early = M.counter("solver.unions");
+  Early.inc(5); // before mirroring: stays local
+  M.mirrorTo(&Up);
+  Early.inc(2);
+  M.counter("solver.widenings").inc(3);
+  M.gauge("memory.bytes").set(7);
+  M.gauge("peak").accumulateMax(4);
+  M.histogram("phase.seconds").observe(0.5);
+  EXPECT_EQ(M.counterValue("solver.unions"), 7u);
+  EXPECT_EQ(Up.counterValue("solver.unions"), 2u);
+  EXPECT_EQ(Up.counterValue("solver.widenings"), 3u);
+  EXPECT_EQ(Up.gauge("memory.bytes").value(), 7);
+  EXPECT_EQ(Up.gauge("peak").value(), 4);
+  EXPECT_EQ(Up.histogram("phase.seconds").count(), 1u);
+  EXPECT_DOUBLE_EQ(Up.histogram("phase.seconds").sum(), 0.5);
+  M.mirrorTo(nullptr);
+  Early.inc();
+  EXPECT_EQ(Up.counterValue("solver.unions"), 2u);
+}
+
 TEST(MetricsTest, ConcurrentCountersAreExact) {
   MetricsRegistry M;
   constexpr unsigned NumThreads = 4, PerThread = 10000;
