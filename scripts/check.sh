@@ -164,6 +164,10 @@ with open(f"{out}/metrics.json") as f:
 validate(metrics, findings_schema["properties"]["metrics"], "metrics.json")
 check(metrics["counters"].get("solver.ascending_steps", 0) > 0,
       "metrics.json: no solver work recorded")
+# The for loop's descending sweeps re-run equations whose inputs did not
+# change: the solver must reuse those results instead of re-evaluating.
+check(metrics["counters"].get("solver.reused_evaluations", 0) > 0,
+      "metrics.json: the solver reused no evaluation")
 # for.pas unfolds to one instance. This run is traced, so it builds a
 # fresh engine instead of analyzing the one create() validated with;
 # only the engine that ran may report its construction.

@@ -25,7 +25,6 @@
 ///     using Value = ...;
 ///     unsigned numNodes() const;
 ///     const Digraph &graph() const;          // dependency graph
-///     std::vector<unsigned> roots() const;   // where iteration starts
 ///     Value initialValue(unsigned Node, bool FromTop) const;
 ///     // Evaluate the RHS of equation Node given current values.
 ///     Value evaluate(unsigned Node, const std::vector<Value> &X) const;
@@ -34,6 +33,19 @@
 ///     Value widen(const Value &A, const Value &B) const;
 ///     Value narrow(const Value &A, const Value &B) const;
 ///   };
+///
+/// evaluate(Node, X) must read X only at graph().preds(Node) (plus
+/// inputs that stay fixed for the whole solve, such as an envelope or
+/// seeds), and must be a deterministic function of those values. The
+/// solver relies on this to evaluate an equation only when one of its
+/// inputs changed: every write to X goes through one helper that stamps
+/// the node when its value changed, and a node none of whose
+/// predecessors was stamped since its last evaluation reuses that
+/// evaluation's result instead of calling evaluate() again. A Value
+/// with payload identity (a member `bool samePayload(const Value &)
+/// const`, true only when both values share one representation and so
+/// are equal) lets a write that keeps the representation count as
+/// unchanged; any other Value counts every write as a change.
 ///
 /// Warm starts. A refinement chain re-solves the same equation system
 /// with slightly different external inputs (envelope slots, seeds).
@@ -90,8 +102,14 @@ enum class IterationStrategy {
 
 /// Counters reported by one solver run.
 struct SolverStats {
-  uint64_t AscendingSteps = 0;  ///< equation evaluations while ascending
-  uint64_t DescendingSteps = 0; ///< equation evaluations while descending
+  /// Equation steps scheduled while ascending / descending. A step whose
+  /// inputs did not change since the equation's last evaluation reuses
+  /// that result instead (counted in ReusedEvaluations too).
+  uint64_t AscendingSteps = 0;
+  uint64_t DescendingSteps = 0;
+  /// Scheduled steps answered from the equation's last result because
+  /// none of its dependency-graph predecessors changed since.
+  uint64_t ReusedEvaluations = 0;
   uint64_t Widenings = 0;
   uint64_t Narrowings = 0;
   /// Stable top-level WTO elements replayed from the warm-start memo
@@ -159,6 +177,15 @@ struct HasExternalInputs<
     S, std::void_t<decltype(static_cast<bool>(
            std::declval<const S &>().externalInputsUnchanged(0u)))>>
     : std::true_type {};
+
+/// Detects the optional Value::samePayload(const Value &).
+template <typename V, typename = void>
+struct HasPayloadIdentity : std::false_type {};
+template <typename V>
+struct HasPayloadIdentity<
+    V, std::void_t<decltype(static_cast<bool>(
+           std::declval<const V &>().samePayload(std::declval<const V &>())))>>
+    : std::true_type {};
 } // namespace solver_detail
 
 template <typename System> class FixpointSolver {
@@ -199,9 +226,11 @@ public:
     bool MemoReadOnly = false;
   };
 
-  FixpointSolver(const System &Sys, Options Opts)
-      : Sys(Sys), Opts(Opts), Order(Sys.graph(), Sys.roots()),
-        Trace(Opts.Telem.Trace) {}
+  /// Solves over \p Order, a WTO of Sys.graph() from the roots where
+  /// iteration starts. The caller builds it once and may share it across
+  /// solves of the same dependency graph; it must outlive the solver.
+  FixpointSolver(const System &Sys, const Wto &Order, Options Opts)
+      : Sys(Sys), Opts(Opts), Order(Order), Trace(Opts.Telem.Trace) {}
 
   /// Runs the solver and returns the per-node solution.
   std::vector<Value> solve() {
@@ -213,6 +242,7 @@ public:
       X.push_back(Sys.initialValue(Node, FromTop));
 
     NodeSteps.assign(N, 0);
+    prepareChangeTracking();
     prepareWarm();
     prepareDemand();
 
@@ -248,13 +278,107 @@ public:
     return FullyReplayed;
   }
 
-  /// Per node: live equation evaluations this run performed on it
-  /// (replays and demand skips contribute nothing). The audit trail
-  /// behind the demand-mode guarantee that out-of-cone nodes run zero
-  /// live steps.
+  /// Per node: equation steps this run scheduled on it, evaluated or
+  /// reused (replays and demand skips contribute nothing). The audit
+  /// trail behind the demand-mode guarantee that out-of-cone nodes run
+  /// zero live steps.
   const std::vector<uint64_t> &nodeLiveSteps() const { return NodeSteps; }
 
 private:
+  //===--------------------------------------------------------------------===//
+  // Change-driven evaluation
+  //===--------------------------------------------------------------------===//
+  //
+  // evaluate(V) reads X only at preds(V) (see the System contract), so
+  // an equation none of whose predecessors was written since its last
+  // evaluation would return the same value again. Every write to X goes
+  // through assign(), which stamps the node with a fresh clock tick when
+  // its value changed; EvalAt[V] holds the clock of V's last evaluation
+  // (0 = none usable). A non-head's last result is X[V] itself: its own
+  // evaluations leave X[V] equal to the result, and every other write
+  // (leaf reset, warm replay, demand splice) goes through overwrite(),
+  // which marks the node unevaluated. Heads keep their last result in
+  // HeadLast, since X[head] holds the widened or narrowed value; a result
+  // equal to X[head] is stored as X[head] itself, so a converged head
+  // keeps no second store alive.
+  // Scheduled steps are counted whether they evaluate or reuse, so the
+  // step counters, the sweep structure and the solution are exactly
+  // those of evaluating every scheduled step.
+
+  void prepareChangeTracking() {
+    unsigned N = Sys.numNodes();
+    Clock = 1;
+    Stamp.assign(N, 0);
+    EvalAt.assign(N, 0);
+    HeadSlot.assign(N, 0);
+    HeadLast.clear();
+    for (unsigned V = 0; V < N; ++V)
+      if (Order.isHead(V)) {
+        HeadSlot[V] = static_cast<unsigned>(HeadLast.size());
+        HeadLast.push_back(X[V]); // placeholder until the first evaluation
+      }
+  }
+
+  /// True when \p A and \p B share one representation (and are thus
+  /// equal). Values without payload identity never do.
+  static bool sameRepresentation(const Value &A, const Value &B) {
+    if constexpr (solver_detail::HasPayloadIdentity<Value>::value)
+      return A.samePayload(B);
+    else
+      return false;
+  }
+
+  /// The one write path into X. Stamps \p V when the stored value
+  /// changes; returns whether it did.
+  bool assign(unsigned V, Value New) {
+    if (sameRepresentation(X[V], New))
+      return false;
+    X[V] = std::move(New);
+    Stamp[V] = ++Clock;
+    return true;
+  }
+
+  /// A write that is not \p V's own evaluation: X[V] then no longer
+  /// holds V's last result.
+  void overwrite(unsigned V, const Value &New) {
+    if (assign(V, New))
+      EvalAt[V] = 0;
+  }
+
+  /// Counts one scheduled step of \p V in \p Steps. Returns true when V
+  /// must be evaluated; false when no predecessor changed since its last
+  /// evaluation, so that result stands.
+  bool schedule(unsigned V, uint64_t &Steps) {
+    ++Steps;
+    ++NodeSteps[V];
+    if (uint64_t At = EvalAt[V]) {
+      bool Unchanged = true;
+      for (unsigned P : Sys.graph().preds(V))
+        if (Stamp[P] > At) {
+          Unchanged = false;
+          break;
+        }
+      if (Unchanged) {
+        ++Stats.ReusedEvaluations;
+        return false;
+      }
+    }
+    EvalAt[V] = Clock;
+    return true;
+  }
+
+  /// One scheduled step of head \p V: its equation's value, evaluated
+  /// or reused.
+  const Value &headStep(unsigned V, uint64_t &Steps) {
+    Value &Last = HeadLast[HeadSlot[V]];
+    if (schedule(V, Steps)) {
+      Last = Sys.evaluate(V, X);
+      if (Sys.equal(Last, X[V]))
+        Last = X[V];
+    }
+    return Last;
+  }
+
   //===--------------------------------------------------------------------===//
   // Warm start: exact replay of stable top-level elements
   //===--------------------------------------------------------------------===//
@@ -422,7 +546,7 @@ private:
         const std::vector<uint8_t> &NV = Opts.Memo->NodeValid;
         for (unsigned V : ElemVerts[E])
           if (NV.empty() || NV[V])
-            X[V] = B[V];
+            overwrite(V, B[V]);
       }
     }
   }
@@ -485,7 +609,7 @@ private:
     const WarmStartMemo<Value> &M = *Opts.Memo;
     const std::vector<Value> &B = M.Boundaries[CurBoundary];
     for (unsigned V : ElemVerts[E])
-      X[V] = B[V];
+      overwrite(V, B[V]);
     Matched[E] = 1;
     bool Flag = M.ElemChanged[CurBoundary][E] != 0;
     uint64_t Steps = M.ElemSteps[CurBoundary][E];
@@ -544,19 +668,18 @@ private:
   /// Resets every vertex of a component (head and body, recursively) to
   /// its ascending start value.
   void resetComponent(const WtoElement &E) {
-    X[E.Vertex] = Sys.initialValue(E.Vertex, /*FromTop=*/false);
+    overwrite(E.Vertex, Sys.initialValue(E.Vertex, /*FromTop=*/false));
     for (const WtoElement &Sub : E.Body)
       if (Sub.IsComponent)
         resetComponent(Sub);
       else
-        X[Sub.Vertex] = Sys.initialValue(Sub.Vertex, /*FromTop=*/false);
+        overwrite(Sub.Vertex, Sys.initialValue(Sub.Vertex, /*FromTop=*/false));
   }
 
   void ascendElement(const WtoElement &E) {
     if (!E.IsComponent) {
-      ++Stats.AscendingSteps;
-      ++NodeSteps[E.Vertex];
-      X[E.Vertex] = Sys.evaluate(E.Vertex, X);
+      if (schedule(E.Vertex, Stats.AscendingSteps))
+        assign(E.Vertex, Sys.evaluate(E.Vertex, X));
       return;
     }
     // Restart *leaf* components from bottom: when an enclosing component
@@ -585,14 +708,12 @@ private:
     for (;;) {
       for (const WtoElement &Sub : E.Body)
         ascendElement(Sub);
-      ++Stats.AscendingSteps;
-      ++NodeSteps[E.Vertex];
-      Value New = Sys.evaluate(E.Vertex, X);
+      const Value &New = headStep(E.Vertex, Stats.AscendingSteps);
       if (Sys.leq(New, X[E.Vertex]))
         break;
       ++Stats.Widenings;
       traceEvent(Trace, TraceEventKind::Widening, E.Vertex);
-      X[E.Vertex] = Sys.widen(X[E.Vertex], New);
+      assign(E.Vertex, Sys.widen(X[E.Vertex], New));
     }
     traceEvent(Trace, TraceEventKind::ComponentEnd, E.Vertex,
                /*Descending=*/0);
@@ -613,17 +734,27 @@ private:
     auto Step = [&] {
       unsigned Node = *Pending.begin();
       Pending.erase(Pending.begin());
-      ++Stats.AscendingSteps;
-      ++NodeSteps[Node];
-      Value New = Sys.evaluate(Node, X);
-      if (Sys.leq(New, X[Node]))
-        return;
+      // A reused step cannot change X[Node]: the last result is already
+      // below it (stored, or widened into it, or found leq and dropped).
       if (Order.isHead(Node)) {
+        const Value &New = headStep(Node, Stats.AscendingSteps);
+        if (Sys.leq(New, X[Node]))
+          return;
         ++Stats.Widenings;
         traceEvent(Trace, TraceEventKind::Widening, Node);
-        X[Node] = Sys.widen(X[Node], New);
+        assign(Node, Sys.widen(X[Node], New));
       } else {
-        X[Node] = std::move(New);
+        if (!schedule(Node, Stats.AscendingSteps))
+          return;
+        Value New = Sys.evaluate(Node, X);
+        if (Sys.leq(New, X[Node])) {
+          // The result is dropped, so X[Node] only holds it when the two
+          // share a representation.
+          if (!sameRepresentation(New, X[Node]))
+            EvalAt[Node] = 0;
+          return;
+        }
+        assign(Node, std::move(New));
       }
       // Successor activations stay inside the demand cone: an
       // out-of-cone successor is never evaluated, not even when its
@@ -710,15 +841,14 @@ private:
 
   void descendElement(const WtoElement &E, bool &Changed) {
     if (!E.IsComponent) {
-      ++Stats.DescendingSteps;
-      ++NodeSteps[E.Vertex];
+      // An unchanged input set leaves the result at X[E.Vertex]: no
+      // change. Otherwise X[E.Vertex] keeps its representation when the
+      // new result is equal, so it still holds the result by value.
+      if (!schedule(E.Vertex, Stats.DescendingSteps))
+        return;
       Value New = Sys.evaluate(E.Vertex, X);
-      // Converged equations resolve in O(1) when the lattice ops are
-      // delta-aware: evaluate() then returns a value sharing its
-      // representation with X[E.Vertex], and equal() short-circuits on
-      // that identity before any entry-wise comparison.
       if (!Sys.equal(New, X[E.Vertex])) {
-        X[E.Vertex] = std::move(New);
+        assign(E.Vertex, std::move(New));
         Changed = true;
       }
       return;
@@ -730,9 +860,7 @@ private:
     traceEvent(Trace, TraceEventKind::ComponentBegin, E.Vertex,
                /*Descending=*/1);
     for (unsigned Sweep = 0; Sweep < MaxComponentSweeps; ++Sweep) {
-      ++Stats.DescendingSteps;
-      ++NodeSteps[E.Vertex];
-      Value New = Sys.evaluate(E.Vertex, X);
+      const Value &New = headStep(E.Vertex, Stats.DescendingSteps);
       ++Stats.Narrowings;
       traceEvent(Trace, TraceEventKind::Narrowing, E.Vertex);
       Value Narrowed = Sys.narrow(X[E.Vertex], New);
@@ -743,7 +871,7 @@ private:
       // identity (and its memoized hash) untouched.
       bool SweepChanged = !Sys.equal(Narrowed, X[E.Vertex]);
       if (SweepChanged)
-        X[E.Vertex] = std::move(Narrowed);
+        assign(E.Vertex, std::move(Narrowed));
       for (const WtoElement &Sub : E.Body)
         descendElement(Sub, SweepChanged);
       Changed |= SweepChanged;
@@ -759,12 +887,19 @@ private:
 
   const System &Sys;
   Options Opts;
-  Wto Order;
+  const Wto &Order;
   TraceRecorder *Trace; ///< null = tracing off
   std::vector<Value> X;
   SolverStats Stats;
-  /// Per-node live evaluation counts (see nodeLiveSteps()).
+  /// Per-node scheduled step counts (see nodeLiveSteps()).
   std::vector<uint64_t> NodeSteps;
+
+  // Change-driven evaluation state (see prepareChangeTracking()).
+  uint64_t Clock = 1;
+  std::vector<uint64_t> Stamp;  ///< per node: clock of its last change
+  std::vector<uint64_t> EvalAt; ///< per node: clock of its last evaluation
+  std::vector<unsigned> HeadSlot; ///< head node -> index into HeadLast
+  std::vector<Value> HeadLast;    ///< per head: its last equation value
 
   // Demand-driven scheduling state; empty/false on a full solve.
   bool Demand = false;

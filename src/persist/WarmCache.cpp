@@ -344,10 +344,10 @@ bool persist::saveWarmCache(const std::string &Dir, const Analyzer &An,
   const StableIds &Ids = G.stableIds();
   unsigned N = G.numNodes();
 
-  Wto FwdOrder(An.forwardDependencies(), An.forwardRoots());
-  Wto BwdOrder(An.backwardDependencies(), An.backwardRoots());
-  std::vector<uint64_t> FwdElemKeys = elementKeys(FwdOrder, Ids.nodeKeys());
-  std::vector<uint64_t> BwdElemKeys = elementKeys(BwdOrder, Ids.nodeKeys());
+  std::vector<uint64_t> FwdElemKeys =
+      elementKeys(An.forwardOrder().Order, Ids.nodeKeys());
+  std::vector<uint64_t> BwdElemKeys =
+      elementKeys(An.backwardOrder().Order, Ids.nodeKeys());
 
   StorePoolWriter Pool(Ids);
 
@@ -568,10 +568,10 @@ CacheLoadResult persist::loadWarmCache(const std::string &Dir,
     RecOfNew[I] >= 0 ? ++Res.RestoredNodes : ++Res.InvalidatedNodes;
 
   // Current WTO element keys per system, and the recorded-key lookup.
-  Wto FwdOrder(An.forwardDependencies(), An.forwardRoots());
-  Wto BwdOrder(An.backwardDependencies(), An.backwardRoots());
-  std::vector<uint64_t> FwdElemKeys = elementKeys(FwdOrder, Ids.nodeKeys());
-  std::vector<uint64_t> BwdElemKeys = elementKeys(BwdOrder, Ids.nodeKeys());
+  std::vector<uint64_t> FwdElemKeys =
+      elementKeys(An.forwardOrder().Order, Ids.nodeKeys());
+  std::vector<uint64_t> BwdElemKeys =
+      elementKeys(An.backwardOrder().Order, Ids.nodeKeys());
   std::unordered_map<uint64_t, unsigned> RecFwdByKey =
       indexByKey(RecFwdElemKeys);
   std::unordered_map<uint64_t, unsigned> RecBwdByKey =

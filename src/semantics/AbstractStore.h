@@ -426,12 +426,15 @@ public:
       P->Keys = std::move(T);
   }
 
-  /// True when both stores alias the same payload (or are both
-  /// payload-free), i.e. equality is decidable without looking at any
-  /// entry. The delta-aware lattice ops return their input store when
-  /// nothing changed exactly so this fires on convergence.
+  /// True when both stores alias the same payload and agree on being
+  /// bottom, i.e. they are equal and equality is decidable without
+  /// looking at any entry. Top and bottom are both payload-free, so the
+  /// bottom flag is part of the identity: top is never the same payload
+  /// as bottom. The delta-aware lattice ops return their input store
+  /// when nothing changed exactly so this fires on convergence, and the
+  /// fixpoint solver uses it as its change signal.
   bool samePayload(const AbstractStore &Other) const {
-    return P == Other.P;
+    return P == Other.P && IsBottom == Other.IsBottom;
   }
   /// Identity of the shared payload (null for top/bottom); used for
   /// shared-once memory accounting and by tests.

@@ -53,10 +53,9 @@ struct SystemBase {
 
 /// Builds the forward dependency digraph: every supergraph edge, plus
 /// the NodeP -> NodeQ dependency of the copy-out/channel-out transfers
-/// (they read the frozen caller store at NodeP). Shared between the
-/// ForwardSystem the solver iterates and the public
-/// Analyzer::forwardDependencies() the persistence layer keys WTO
-/// elements from — one builder, so they cannot diverge.
+/// (they read the frozen caller store at NodeP). ForwardSystem::evaluate
+/// reads exactly these predecessors, as the solver's System contract
+/// requires.
 Digraph buildForwardDep(const SuperGraph &G) {
   Digraph Dep(G.numNodes());
   for (const SuperEdge &E : G.edges()) {
@@ -68,7 +67,8 @@ Digraph buildForwardDep(const SuperGraph &G) {
   return Dep;
 }
 
-/// Backward dependency digraph: the inversion of every supergraph edge.
+/// Backward dependency digraph: the inversion of every supergraph edge
+/// (BackwardSystem::evaluate reads X only at edge targets).
 Digraph buildBackwardDep(const SuperGraph &G) {
   Digraph Dep(G.numNodes());
   for (const SuperEdge &E : G.edges())
@@ -87,18 +87,17 @@ struct ForwardSystem : SystemBase {
   /// values.
   const LivenessInfo *Live;
   mutable uint64_t PrunedSlots = 0;
-  Digraph Dep;
+  const Digraph &Dep;
 
-  ForwardSystem(const SuperGraph &G, const StoreOps &Ops,
+  ForwardSystem(const SuperGraph &G, const Digraph &Dep, const StoreOps &Ops,
                 const Transfer &Xfer, TransferCache *Cache,
                 const std::vector<AbstractStore> *Envelope,
                 const LivenessInfo *Live)
       : SystemBase(G, Ops, Cache), Xfer(Xfer), Envelope(Envelope),
-        Live(Live), Dep(buildForwardDep(G)) {}
+        Live(Live), Dep(Dep) {}
 
   unsigned numNodes() const { return G.numNodes(); }
   const Digraph &graph() const { return Dep; }
-  std::vector<unsigned> roots() const { return {G.mainEntry()}; }
 
   AbstractStore initialValue(unsigned, bool) const {
     return AbstractStore::bottom();
@@ -153,19 +152,17 @@ struct BackwardSystem : SystemBase {
   const Transfer &Xfer;
   const std::vector<AbstractStore> &Envelope;
   std::vector<AbstractStore> Seeds;
-  Digraph Dep;
+  const Digraph &Dep;
 
-  BackwardSystem(const SuperGraph &G, const StoreOps &Ops,
+  BackwardSystem(const SuperGraph &G, const Digraph &Dep, const StoreOps &Ops,
                  const Transfer &Xfer, TransferCache *Cache,
                  const std::vector<AbstractStore> &Envelope)
-      : SystemBase(G, Ops, Cache), Xfer(Xfer), Envelope(Envelope),
-        Dep(buildBackwardDep(G)) {
+      : SystemBase(G, Ops, Cache), Xfer(Xfer), Envelope(Envelope), Dep(Dep) {
     Seeds.assign(G.numNodes(), AbstractStore::bottom());
   }
 
   unsigned numNodes() const { return G.numNodes(); }
   const Digraph &graph() const { return Dep; }
-  std::vector<unsigned> roots() const { return {G.mainExit()}; }
 
   AbstractStore initialValue(unsigned, bool FromTop) const {
     return FromTop ? AbstractStore::top() : AbstractStore::bottom();
@@ -258,20 +255,18 @@ Analyzer::Analyzer(const ProgramCfg &Cfg, RoutineDecl *Program)
 
 Analyzer::~Analyzer() = default;
 
-Digraph Analyzer::forwardDependencies() const {
-  return buildForwardDep(*Graph);
+const Analyzer::DependencyOrder &Analyzer::forwardOrder() const {
+  if (!FwdOrder)
+    FwdOrder = std::make_unique<DependencyOrder>(
+        buildForwardDep(*Graph), std::vector<unsigned>{Graph->mainEntry()});
+  return *FwdOrder;
 }
 
-Digraph Analyzer::backwardDependencies() const {
-  return buildBackwardDep(*Graph);
-}
-
-std::vector<unsigned> Analyzer::forwardRoots() const {
-  return {Graph->mainEntry()};
-}
-
-std::vector<unsigned> Analyzer::backwardRoots() const {
-  return {Graph->mainExit()};
+const Analyzer::DependencyOrder &Analyzer::backwardOrder() const {
+  if (!BwdOrder)
+    BwdOrder = std::make_unique<DependencyOrder>(
+        buildBackwardDep(*Graph), std::vector<unsigned>{Graph->mainExit()});
+  return *BwdOrder;
 }
 
 Analyzer::WarmSlot &Analyzer::chainSlot(PhaseSig Sig) {
@@ -363,6 +358,7 @@ void Analyzer::accumulateSolverStats(const SolverStats &S,
     M->counter("solver.narrowings").inc(S.Narrowings);
     M->counter("solver.component_skips").inc(S.ComponentSkips);
     M->counter("solver.skipped_steps").inc(S.SkippedSteps);
+    M->counter("solver.reused_evaluations").inc(S.ReusedEvaluations);
     M->counter("solver.unions").inc(SysUnions);
     if (S.DemandedComponents + S.SkippedByDemand > 0) {
       M->counter("demand.components").inc(S.DemandedComponents);
@@ -403,7 +399,8 @@ Analyzer::solveForward(const std::vector<AbstractStore> *Env,
                        const std::vector<uint8_t> *Demand) {
   auto Start = std::chrono::steady_clock::now();
   tracePhase(/*Begin=*/true, Phase);
-  ForwardSystem Sys(*Graph, Ops, Xfer, Cache.get(), Env, Live.get());
+  const DependencyOrder &Dep = forwardOrder();
+  ForwardSystem Sys(*Graph, Dep.Dep, Ops, Xfer, Cache.get(), Env, Live.get());
   FixpointSolver<ForwardSystem>::Options SolverOpts;
   SolverOpts.Kind = Opts.HarrisonGfp ? FixpointKind::Gfp : FixpointKind::Lfp;
   SolverOpts.Strategy = Opts.Strategy;
@@ -420,7 +417,7 @@ Analyzer::solveForward(const std::vector<AbstractStore> *Env,
     Sys.ExternalUnchanged = unchangedInputs(*Slot, Env, nullptr);
     SolverOpts.Memo = &Slot->Memo;
   }
-  FixpointSolver<ForwardSystem> Solver(Sys, SolverOpts);
+  FixpointSolver<ForwardSystem> Solver(Sys, Dep.Order, SolverOpts);
   std::vector<AbstractStore> Result = Solver.solve();
   if (Slot) {
     Slot->HadEnv = Env != nullptr;
@@ -453,7 +450,8 @@ Analyzer::solveBackward(bool Eventually,
                         const std::vector<uint8_t> *Demand) {
   auto Start = std::chrono::steady_clock::now();
   tracePhase(/*Begin=*/true, Phase);
-  BackwardSystem Sys(*Graph, Ops, Xfer, Cache.get(), Env);
+  const DependencyOrder &Dep = backwardOrder();
+  BackwardSystem Sys(*Graph, Dep.Dep, Ops, Xfer, Cache.get(), Env);
   if (Eventually) {
     // Seeds: the intermittent assertions (and optionally termination).
     for (const Instance &Inst : Graph->instances()) {
@@ -484,7 +482,7 @@ Analyzer::solveBackward(bool Eventually,
     Sys.ExternalUnchanged = unchangedInputs(*Slot, &Env, &Sys.Seeds);
     SolverOpts.Memo = &Slot->Memo;
   }
-  FixpointSolver<BackwardSystem> Solver(Sys, SolverOpts);
+  FixpointSolver<BackwardSystem> Solver(Sys, Dep.Order, SolverOpts);
   std::vector<AbstractStore> Result = Solver.solve();
   if (Slot) {
     Slot->HadEnv = true;
@@ -559,15 +557,13 @@ void Analyzer::runDemand(const std::vector<unsigned> &QueryNodes) {
   // under its phase's dependency-graph predecessors — the invariant
   // Solver::Options::DemandNodes requires for exact sub-solutions.
   std::vector<PlannedPhase> Plan = phasePlan();
-  Digraph Fwd = buildForwardDep(*Graph);
-  Digraph Bwd = buildBackwardDep(*Graph);
   std::vector<std::vector<uint8_t>> Masks(Plan.size());
   std::vector<unsigned> Want = QueryNodes;
   for (size_t I = Plan.size(); I-- > 0;) {
     const Digraph &Dep = (Plan[I].Sig == PhaseSig::Always ||
                           Plan[I].Sig == PhaseSig::Eventually)
-                             ? Bwd
-                             : Fwd;
+                             ? backwardOrder().Dep
+                             : forwardOrder().Dep;
     Masks[I] = dependencyCone(Dep, Want);
     Want.clear();
     for (unsigned V = 0; V < Masks[I].size(); ++V)

@@ -181,13 +181,20 @@ public:
   /// configuration, so value verification alone cannot catch a
   /// semantics mismatch.
   bool importWarmFrom(const Analyzer &Other);
-  /// The forward / backward dependency digraphs — built by the same
-  /// shared helpers the internal equation systems use, so WTOs derived
-  /// from them can never diverge from the ones the solver iterated.
-  Digraph forwardDependencies() const;
-  Digraph backwardDependencies() const;
-  std::vector<unsigned> forwardRoots() const;
-  std::vector<unsigned> backwardRoots() const;
+  /// A dependency digraph and its WTO.
+  struct DependencyOrder {
+    DependencyOrder(Digraph D, const std::vector<unsigned> &Roots)
+        : Dep(std::move(D)), Order(Dep, Roots) {}
+    Digraph Dep;
+    Wto Order;
+  };
+  /// The forward / backward dependency digraphs with their WTOs, built
+  /// once per engine on first use (the first run() at the latest, so
+  /// later const access only reads). Every solve iterates them,
+  /// runDemand() takes its cones from them and the persistence layer
+  /// keys WTO elements from them, so none of these can diverge.
+  const DependencyOrder &forwardOrder() const;
+  const DependencyOrder &backwardOrder() const;
   /// True when the transfer cache is live (explicitly requested, or
   /// auto-enabled by the instance-count heuristic).
   bool transferCacheEnabled() const { return Cache != nullptr; }
@@ -232,6 +239,8 @@ private:
   std::unique_ptr<TransferCache> Cache;
   std::unique_ptr<SuperGraph> Graph;
   std::unique_ptr<LivenessInfo> Live;
+  /// Built by forwardOrder()/backwardOrder() on first use.
+  mutable std::unique_ptr<DependencyOrder> FwdOrder, BwdOrder;
   uint64_t PrunedSlotsRun = 0;
   std::vector<AbstractStore> Forward;
   std::vector<AbstractStore> Envelope;

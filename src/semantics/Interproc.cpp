@@ -368,6 +368,11 @@ SuperGraph::fwdTransfer(unsigned EdgeIdx,
       TransferMemoEnabled ? &EdgeMemos[EdgeIdx][0] : nullptr;
   if (M && M->Valid && Ops.equal(M->In1, In1) &&
       (!In2 || Ops.equal(M->In2, *In2))) {
+    // Adopt the caller's (equal) inputs: the next probe of this edge
+    // then resolves on payload identity instead of an entry-wise walk.
+    M->In1 = In1;
+    if (In2)
+      M->In2 = *In2;
     ++TransferMemoHits;
     return M->Out;
   }
@@ -404,6 +409,7 @@ SuperGraph::bwdTransfer(unsigned EdgeIdx,
   LinkTransferMemo *M =
       TransferMemoEnabled ? &EdgeMemos[EdgeIdx][1] : nullptr;
   if (M && M->Valid && Ops.equal(M->In1, In)) {
+    M->In1 = In; // adopt, as in fwdTransfer
     ++TransferMemoHits;
     return M->Out;
   }

@@ -161,7 +161,7 @@ end.
   const SuperGraph &G = P.An->graph();
   ASSERT_GE(G.instances().size(), 3u) << "expected two unfolded callees";
 
-  Digraph Fwd = P.An->forwardDependencies();
+  const Digraph &Fwd = P.An->forwardOrder().Dep;
   // The whole-program cone from the main exit covers the entry...
   std::vector<uint8_t> Exit =
       Analyzer::dependencyCone(Fwd, {G.mainExit()});
@@ -185,7 +185,7 @@ end.
 
   // Backward dependencies are the reverse: the cone of the *entry* in
   // the backward graph is the forward-reachable set.
-  Digraph Bwd = P.An->backwardDependencies();
+  const Digraph &Bwd = P.An->backwardOrder().Dep;
   std::vector<uint8_t> Entry =
       Analyzer::dependencyCone(Bwd, {G.mainEntry()});
   expectPredClosed(Bwd, Entry);

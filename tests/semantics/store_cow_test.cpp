@@ -187,6 +187,33 @@ TEST_F(StoreCowTest, ConvergedOpsReturnTheInputPayload) {
   EXPECT_EQ(Ops.get(J, Ints[0]).asInt(), Interval(-1, 0));
 }
 
+TEST_F(StoreCowTest, TopIsNeverTheSamePayloadAsBottom) {
+  // Both are payload-free; the bottom flag must still tell them apart,
+  // or a top -> bottom write would look like no change at all.
+  AbstractStore Top = AbstractStore::top(), Bot = AbstractStore::bottom();
+  EXPECT_FALSE(Top.samePayload(Bot));
+  EXPECT_FALSE(Bot.samePayload(Top));
+  EXPECT_TRUE(Top.samePayload(AbstractStore::top()));
+  EXPECT_TRUE(Bot.samePayload(AbstractStore::bottom()));
+
+  // The identity results of the lattice ops around top and bottom.
+  AbstractStore A = makeStore(0);
+  EXPECT_TRUE(Ops.join(Top, Bot).samePayload(Top));
+  EXPECT_TRUE(Ops.join(Bot, Top).samePayload(Top));
+  EXPECT_TRUE(Ops.join(A, Bot).samePayload(A));
+  EXPECT_TRUE(Ops.join(Bot, A).samePayload(A));
+  EXPECT_TRUE(Ops.join(Bot, Bot).samePayload(Bot));
+  EXPECT_TRUE(Ops.meet(Top, Bot).samePayload(Bot));
+  EXPECT_TRUE(Ops.meet(A, Top).samePayload(A));
+  EXPECT_TRUE(Ops.meet(Top, A).samePayload(A));
+  EXPECT_TRUE(Ops.meet(A, Bot).samePayload(Bot));
+  EXPECT_TRUE(Ops.widen(Bot, A).samePayload(A));
+  EXPECT_TRUE(Ops.widen(A, Bot).samePayload(A));
+  EXPECT_TRUE(Ops.narrow(A, Bot).samePayload(Bot));
+  EXPECT_TRUE(Ops.narrow(Top, Top).samePayload(Top));
+  EXPECT_TRUE(Ops.narrow(A, A).samePayload(A));
+}
+
 TEST_F(StoreCowTest, HashIsMemoizedInTheSharedPayload) {
   AbstractStore A = makeStore(0);
   uint64_t H = Ops.hash(A);
